@@ -41,10 +41,9 @@ pub use obs::exp_obs;
 pub use tracing::exp_trace;
 pub use verify_bench::exp_verify_bench;
 
-/// Serializes the heavyweight experiment smoke tests (E18–E23): they
-/// write `BENCH_*.json` artifacts into the crate directory and E19
-/// measures wall-clock overhead, so running them concurrently makes
-/// the timing assertion flaky.
+/// Serializes the heavyweight experiment smoke tests: they write
+/// `BENCH_*.json` artifacts into the crate directory. (The E19/E23
+/// overhead smokes run alone, in `tests/overhead_smoke.rs`.)
 #[cfg(test)]
 pub(crate) fn smoke_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

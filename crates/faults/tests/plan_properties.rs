@@ -15,7 +15,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rossl::{
-    ClientConfig, FirstByteCodec, Request, Response, RestartPolicy, Scheduler, Supervisor,
+    ClientConfig, DriveError, Driver, Environment, FirstByteCodec, RestartPolicy, Scheduler,
+    Served, Supervisor,
 };
 use rossl_faults::{FaultClass, FaultPlan, FaultSpec, FaultyCostModel, FaultySocketSet};
 use rossl_journal::JournalWriter;
@@ -104,34 +105,36 @@ fn crash_config() -> ClientConfig {
     ClientConfig::new(tasks, 2).unwrap()
 }
 
-/// Drives `sched` for at most `steps` markers against the (possibly
-/// faulty) socket substrate, journaling each marker with a commit.
+/// The (possibly faulty) socket substrate as a drive environment.
+struct Substrate<'a, S>(&'a mut S);
+
+impl<S: DatagramSource> Environment for Substrate<'_, S> {
+    type Error = DriveError;
+
+    fn read(&mut self, sock: SocketId, now: Instant) -> Served<DriveError> {
+        let msg = match self.0.try_read(sock, now).expect("in range") {
+            ReadOutcome::Data { msg, .. } => Some(msg.data().to_vec()),
+            _ => None,
+        };
+        Ok((msg, now))
+    }
+}
+
+/// Drives `steps` markers against the socket substrate, journaling
+/// each marker with a commit.
 fn drive_against_sockets<S: DatagramSource>(
-    sched: &mut Scheduler<FirstByteCodec>,
+    driver: &mut Driver<FirstByteCodec>,
     sockets: &mut S,
     steps: usize,
     journal: &mut JournalWriter,
-    clock: &mut u64,
 ) -> Vec<Marker> {
+    let mut env = Substrate(sockets);
     let mut trace = Vec::new();
-    let mut response = None;
     for _ in 0..steps {
-        let step = sched.advance(response.take()).expect("drive ok");
-        *clock += 1;
-        journal.append(&step.marker, Instant(*clock));
+        let step = driver.step(&mut env).expect("drive ok");
+        journal.append(&step.marker, step.end);
         journal.commit();
         trace.push(step.marker);
-        match step.request {
-            Some(Request::Read(sock)) => {
-                let msg = match sockets.try_read(sock, Instant(*clock)).expect("in range") {
-                    ReadOutcome::Data { msg, .. } => Some(msg.data().to_vec()),
-                    _ => None,
-                };
-                response = Some(Response::ReadResult(msg));
-            }
-            Some(Request::Execute(_)) => response = Some(Response::Executed),
-            None => {}
-        }
     }
     trace
 }
@@ -147,24 +150,24 @@ fn run_crash_scenario(
 ) -> (Vec<Vec<Marker>>, Vec<Vec<u8>>) {
     let crash_at = plan.crash_point().expect("plan carries a crash") as usize;
     let mut sockets = FaultySocketSet::with_arrivals(2, arrivals, plan).unwrap();
-    let mut sched = Scheduler::new(crash_config(), FirstByteCodec);
+    let mut driver = Driver::new(Scheduler::new(crash_config(), FirstByteCodec), Instant::ZERO);
     let mut journal = JournalWriter::new();
-    let mut clock = 0;
-    let seg0 = drive_against_sockets(&mut sched, &mut sockets, crash_at + 1, &mut journal, &mut clock);
-    drop(sched); // the crash
+    let seg0 = drive_against_sockets(&mut driver, &mut sockets, crash_at + 1, &mut journal);
+    let clock = driver.now();
+    drop(driver); // the crash
 
     let mut bytes0 = journal.into_bytes();
     bytes0.extend_from_slice(&[rossl_journal::KIND_EVENT, 0x7f]); // torn write
 
     let mut sup = Supervisor::new(RestartPolicy::default());
-    let (mut sched, _state, corruption) = sup
+    let (sched, _state, corruption) = sup
         .restart(&bytes0, crash_config(), FirstByteCodec)
         .expect("recovery");
     assert!(corruption.is_some(), "the torn tail must be reported");
 
     let mut journal2 = JournalWriter::new();
-    let seg1 =
-        drive_against_sockets(&mut sched, &mut sockets, post_steps, &mut journal2, &mut clock);
+    let mut driver = Driver::new(sched, clock);
+    let seg1 = drive_against_sockets(&mut driver, &mut sockets, post_steps, &mut journal2);
     (vec![seg0, seg1], vec![bytes0, journal2.into_bytes()])
 }
 

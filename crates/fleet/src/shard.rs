@@ -1,30 +1,27 @@
 //! One scheduler shard: a [`Scheduler`] plus its journal, socket set,
 //! supervisor, and shard-local clock (DESIGN §10.1).
 //!
-//! The shard runs the same drive protocol as the fuzzer's raw drive,
-//! with one deliberate difference in phase: a request returned by
-//! `advance` is served at the *start of the next step*, not the end of
-//! the current one. Both orders produce identical timing (the read
-//! happens at the same shard-local instant), but serve-at-next-step
-//! makes the whole step atomic under tick-boundary faults: a shard
-//! killed between ticks has never consumed a message whose `ReadEnd`
-//! it did not commit, so the cross-shard checker's consumed-vs-observed
-//! accounting holds by construction — the same fork-point discipline
-//! `CrashSweep` uses.
-//!
-//! The shard-local clock advances by the same per-marker costs the
-//! fuzzer charges (reads 1 tick, selection/dispatch/completion from
-//! the [`WcetTable`], execution the task's WCET), so response times
-//! measured here are comparable against the Prosa bounds.
+//! The shard steps its scheduler with a [`Driver`] whose clock is the
+//! shard-local clock, charging the same per-marker [`marker_cost`]s as
+//! the fuzzer's raw drive (reads 1 tick, selection/dispatch/completion
+//! from the [`WcetTable`], execution the task's WCET), so response
+//! times measured here are comparable against the Prosa bounds. One
+//! fleet tick is one driver step, and a step is atomic under
+//! tick-boundary faults (DESIGN §5.4): the request a step returns is
+//! served at the start of the next one, so a shard killed between ticks
+//! has never consumed a message whose `ReadEnd` it did not commit, and
+//! the cross-shard checker's consumed-vs-observed accounting holds by
+//! construction.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use rossl::{
-    FirstByteCodec, Request, Response, RestartPolicy, Scheduler, Step, Supervisor,
+    marker_cost, DriveError, Driver, Environment, FirstByteCodec, RestartPolicy, Scheduler,
+    Served, Supervisor, Timed,
 };
 use rossl_journal::JournalWriter;
-use rossl_model::{Instant, Job, Message, SocketId, TaskSet, WcetTable};
+use rossl_model::{Duration, Instant, Job, Message, SocketId, WcetTable};
 use rossl_sockets::{ReadOutcome, SocketSet};
 use rossl_trace::{Marker, Trace};
 
@@ -54,46 +51,20 @@ pub enum ShardEvent {
     Crashed,
 }
 
-/// The per-marker cost model, mirroring the fuzz executor so fleet
-/// response times live on the same clock the timing analysis bounds.
-fn marker_cost(marker: &Marker, wcet: &WcetTable, tasks: &TaskSet) -> u64 {
-    match marker {
-        Marker::ReadStart | Marker::ReadEnd { .. } => 1,
-        Marker::Selection => wcet.selection.ticks(),
-        Marker::Dispatch(_) => wcet.dispatch.ticks(),
-        Marker::Execution(j) => tasks
-            .task(j.task())
-            .map(|t| t.wcet().ticks())
-            .unwrap_or(1)
-            .max(1),
-        Marker::Completion(_) => wcet.completion.ticks(),
-        Marker::Idling | Marker::ModeSwitch { .. } => wcet.idling.ticks(),
-    }
-}
-
 /// One fleet member.
 #[derive(Debug)]
 pub struct Shard {
     id: usize,
-    config: Arc<rossl::ClientConfig>,
-    wcet: WcetTable,
-    sched: Option<Scheduler<FirstByteCodec>>,
+    /// The scheduler, the shard-local clock, and the request the next
+    /// step serves.
+    driver: Driver<FirstByteCodec>,
+    inbox: Inbox,
     supervisor: Supervisor,
     journal: JournalWriter,
-    sockets: SocketSet,
-    /// Per-socket FIFO mirror of delivered-but-unread payloads,
-    /// carrying the fleet sequence numbers the socket substrate does
-    /// not know about. Popped in lockstep with successful reads.
-    unread: Vec<VecDeque<(u64, Message)>>,
-    /// The request returned by the last `advance`, served at the start
-    /// of the next step.
-    pending_request: Option<Request>,
-    clock: u64,
     /// Completions accumulated before the last journal rebase (the
     /// scheduler's own counter restarts from the journal).
     segments: Vec<Trace>,
     current: Trace,
-    consumed: Vec<usize>,
     /// Last fleet tick this shard completed a step (the heartbeat).
     pub(crate) last_step_tick: u64,
     pub(crate) killed: bool,
@@ -118,16 +89,22 @@ impl Shard {
     ) -> Shard {
         let n_sockets = config.n_sockets();
         Shard {
-            sched: Some(Scheduler::with_shared_config(Arc::clone(&config), FirstByteCodec)),
+            driver: Driver::new(
+                Scheduler::with_shared_config(Arc::clone(&config), FirstByteCodec),
+                Instant::ZERO,
+            ),
+            inbox: Inbox {
+                sockets: SocketSet::new(n_sockets),
+                unread: vec![VecDeque::new(); n_sockets],
+                consumed: vec![0; n_sockets],
+                wcet,
+                config,
+                read_seq: None,
+            },
             supervisor: Supervisor::new(policy),
             journal: JournalWriter::new(),
-            sockets: SocketSet::new(n_sockets),
-            unread: vec![VecDeque::new(); n_sockets],
-            pending_request: None,
-            clock: 0,
             segments: Vec::new(),
             current: Vec::new(),
-            consumed: vec![0; n_sockets],
             last_step_tick: 0,
             killed: false,
             fenced: false,
@@ -136,8 +113,6 @@ impl Shard {
             tracer: None,
             orphan_bug: false,
             id,
-            config,
-            wcet,
         }
     }
 
@@ -166,7 +141,7 @@ impl Shard {
     /// The shard-local clock, in ticks.
     #[must_use]
     pub fn clock(&self) -> u64 {
-        self.clock
+        self.driver.now().0
     }
 
     /// Is this shard currently able to step at fleet tick `now`?
@@ -187,8 +162,9 @@ impl Shard {
     /// plus jobs pending in the scheduler.
     #[must_use]
     pub fn depth(&self) -> usize {
-        let unread: usize = self.unread.iter().map(VecDeque::len).sum();
-        unread + self.sched.as_ref().map_or(0, Scheduler::pending_count)
+        let unread: usize = self.inbox.unread.iter().map(VecDeque::len).sum();
+        let pending = if self.fenced { 0 } else { self.driver.scheduler().pending_count() };
+        unread + pending
     }
 
     /// Nothing left to do: no unread payloads, no pending jobs, and
@@ -198,64 +174,40 @@ impl Shard {
         if self.killed || self.fenced {
             return true;
         }
-        self.unread.iter().all(VecDeque::is_empty)
-            && self.sched.as_ref().map_or(true, |s| s.pending_count() == 0)
+        self.inbox.unread.iter().all(VecDeque::is_empty)
+            && self.driver.scheduler().pending_count() == 0
             && matches!(self.current.last(), None | Some(Marker::Idling))
     }
 
     /// Enqueues a routed payload on `sock` at the current shard-local
     /// instant (readable strictly after it, per the socket model).
     pub fn deliver(&mut self, sock: SocketId, seq: u64, data: Vec<u8>) {
-        let at = Instant(self.clock);
-        if self.sockets.enqueue(sock, at, Message::new(data.clone())).is_ok() {
-            self.unread[sock.0].push_back((seq, Message::new(data)));
+        let at = self.driver.now();
+        if self.inbox.sockets.enqueue(sock, at, Message::new(data.clone())).is_ok() {
+            self.inbox.unread[sock.0].push_back((seq, Message::new(data)));
         }
     }
 
-    /// Runs one scheduler step at fleet tick `now`: serve the previous
+    /// Runs one driver step at fleet tick `now`: serve the previous
     /// request, advance, journal and commit the marker.
     pub fn step(&mut self, now: u64) -> Vec<ShardEvent> {
         let mut events = Vec::new();
         if !self.can_step(now) {
             return events;
         }
-        let Some(sched) = self.sched.as_mut() else {
+        let Ok(Timed { marker, start, end }) = self.driver.step(&mut self.inbox) else {
+            self.killed = true;
+            events.push(ShardEvent::Crashed);
             return events;
         };
-        let mut read_seq = None;
-        let response = match self.pending_request.take() {
-            Some(Request::Read(sock)) => {
-                let data = match self.sockets.try_read(sock, Instant(self.clock)) {
-                    Ok(ReadOutcome::Data { msg, .. }) => {
-                        self.consumed[sock.0] += 1;
-                        read_seq = self.unread[sock.0].pop_front().map(|(seq, _)| seq);
-                        Some(msg.into_data())
-                    }
-                    _ => None,
-                };
-                Some(Response::ReadResult(data))
-            }
-            // Fleet jobs run within budget: the shard charges the
-            // task's WCET through the marker cost below.
-            Some(Request::Execute(_)) => Some(Response::Executed),
-            None => None,
-        };
-        let Step { marker, request } = match sched.advance(response) {
-            Ok(step) => step,
-            Err(_) => {
-                self.killed = true;
-                events.push(ShardEvent::Crashed);
-                return events;
-            }
-        };
-        let clock_before = self.clock;
-        self.clock += marker_cost(&marker, &self.wcet, self.config.tasks());
-        self.journal.append(&marker, Instant(self.clock));
+        let read_seq = self.inbox.read_seq.take();
+        let at = end.0;
+        self.journal.append(&marker, end);
         self.journal.commit();
         if let Some(tracer) = self.tracer.as_mut() {
             let commit = self.journal.commits_written();
             let prio_of = |task: rossl_model::TaskId| {
-                self.config.tasks().task(task).map_or(0, |t| u64::from(t.priority().0))
+                self.inbox.config.tasks().task(task).map_or(0, |t| u64::from(t.priority().0))
             };
             match &marker {
                 Marker::ReadEnd { job: Some(j), .. } => {
@@ -265,7 +217,7 @@ impl Shard {
                             j.id().0,
                             j.task().0 as u64,
                             prio_of(j.task()),
-                            self.clock,
+                            at,
                             commit,
                             self.orphan_bug,
                         );
@@ -275,27 +227,26 @@ impl Shard {
                     j.id().0,
                     j.task().0 as u64,
                     prio_of(j.task()),
-                    self.clock,
+                    at,
                     commit,
                 ),
-                Marker::Completion(j) => tracer.on_complete(j.id().0, self.clock, commit),
-                Marker::ModeSwitch { .. } => tracer.on_mode_switch(clock_before, self.clock),
+                Marker::Completion(j) => tracer.on_complete(j.id().0, at, commit),
+                Marker::ModeSwitch { .. } => tracer.on_mode_switch(start.0, at),
                 _ => {}
             }
         }
         match &marker {
             Marker::ReadEnd { job: Some(j), .. } => {
                 if let Some(seq) = read_seq {
-                    events.push(ShardEvent::Accepted { seq, job: j.clone(), at: self.clock });
+                    events.push(ShardEvent::Accepted { seq, job: j.clone(), at });
                 }
             }
             Marker::Completion(j) => {
-                events.push(ShardEvent::Completed { job: j.clone(), at: self.clock });
+                events.push(ShardEvent::Completed { job: j.clone(), at });
             }
             _ => {}
         }
         self.current.push(marker);
-        self.pending_request = request;
         self.last_step_tick = now;
         events
     }
@@ -314,7 +265,7 @@ impl Shard {
     /// The shared client configuration.
     #[must_use]
     pub fn config(&self) -> &Arc<rossl::ClientConfig> {
-        &self.config
+        &self.inbox.config
     }
 
     /// Closes the current trace segment (a restart seam) and returns
@@ -330,8 +281,6 @@ impl Shard {
     pub fn fence(&mut self) {
         self.fenced = true;
         self.close_segment();
-        self.sched = None;
-        self.pending_request = None;
     }
 
     /// Installs a recovered scheduler after a restart or migration.
@@ -339,8 +288,7 @@ impl Shard {
     /// unserved read never consumed its message, an unserved execute
     /// left its dispatch to be voided and re-pended by journal replay.
     pub fn install(&mut self, sched: Scheduler<FirstByteCodec>) {
-        self.sched = Some(sched);
-        self.pending_request = None;
+        self.driver = Driver::new(sched, self.driver.now());
     }
 
     /// Replaces the journal wholesale (migration rebase: the successor
@@ -355,7 +303,7 @@ impl Shard {
     /// stranded payloads to the successor.
     pub fn take_unread(&mut self) -> Vec<(SocketId, u64, Message)> {
         let mut out = Vec::new();
-        for (sock, q) in self.unread.iter_mut().enumerate() {
+        for (sock, q) in self.inbox.unread.iter_mut().enumerate() {
             for (seq, msg) in q.drain(..) {
                 out.push((SocketId(sock), seq, msg));
             }
@@ -375,8 +323,46 @@ impl Shard {
         rossl_verify::ShardHistory {
             shard: self.id,
             segments,
-            consumed: self.consumed.clone(),
+            consumed: self.inbox.consumed.clone(),
             dead: self.fenced,
         }
+    }
+}
+
+/// A shard's side of the transport, served to its driver: the socket
+/// set read at the shard-local clock, charged at the analysis's
+/// per-marker costs. Fleet jobs run within budget, so executions take
+/// the default answer.
+#[derive(Debug)]
+struct Inbox {
+    sockets: SocketSet,
+    /// Per-socket FIFO mirror of delivered-but-unread payloads,
+    /// carrying the fleet sequence numbers the socket substrate does
+    /// not know about. Popped in lockstep with successful reads.
+    unread: Vec<VecDeque<(u64, Message)>>,
+    consumed: Vec<usize>,
+    wcet: WcetTable,
+    config: Arc<rossl::ClientConfig>,
+    /// Fleet sequence number of the payload the last read handed out.
+    read_seq: Option<u64>,
+}
+
+impl Environment for Inbox {
+    type Error = DriveError;
+
+    fn read(&mut self, sock: SocketId, now: Instant) -> Served<DriveError> {
+        let data = match self.sockets.try_read(sock, now) {
+            Ok(ReadOutcome::Data { msg, .. }) => {
+                self.consumed[sock.0] += 1;
+                self.read_seq = self.unread[sock.0].pop_front().map(|(seq, _)| seq);
+                Some(msg.into_data())
+            }
+            _ => None,
+        };
+        Ok((data, now))
+    }
+
+    fn charge(&mut self, marker: &Marker) -> Duration {
+        marker_cost(marker, &self.wcet, self.config.tasks())
     }
 }

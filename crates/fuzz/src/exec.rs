@@ -2,26 +2,23 @@
 //!
 //! Each input is executed twice over:
 //!
-//! 1. **Raw journaled drive** — the real [`Scheduler`] stepped against a
-//!    per-socket FIFO environment with a virtual clock, journaling every
-//!    marker write-ahead with commit-per-record discipline. This is the
-//!    source of the state-digest coverage signal and the substrate for
-//!    the crash path: at `crash_at` markers the scheduler value is
-//!    dropped, a torn half-record is appended, and the [`Supervisor`]
-//!    restarts from the committed prefix — then the recovered state is
-//!    cross-checked against an *independent* replay of the journal, the
-//!    restarted scheduler's digest against a recounted rebuild, and the
-//!    stitched pre-/post-crash trace against the seam accounting.
+//! 1. **Raw journaled drive** — the real [`Scheduler`] stepped by a
+//!    [`Driver`] against a per-socket FIFO environment charging the
+//!    WCET-table [`marker_cost`]s, journaling every marker write-ahead
+//!    with commit-per-record discipline. This is the source of the
+//!    state-digest coverage signal and the substrate for the crash
+//!    path: at `crash_at` markers the driver stops — it takes no further
+//!    step, so every message consumed from the environment has its
+//!    `ReadEnd` in the committed prefix (DESIGN §5.4) — a torn
+//!    half-record is appended, and the [`Supervisor`] restarts from the
+//!    committed prefix. Then the recovered state is cross-checked
+//!    against an *independent* replay of the journal, the restarted
+//!    scheduler's digest against a recounted rebuild, and the stitched
+//!    pre-/post-crash trace against the seam accounting.
 //! 2. **Timed simulation** (crash-free inputs only) — the [`Simulator`]
 //!    with seeded random costs, honest or through the input's fault
 //!    plan, feeding the latency-bucket coverage channels and the
 //!    consistency / WCET-compliance / Prosa-bound oracles.
-//!
-//! The crash fork mirrors `rossl-verify`'s `CrashSweep` ordering
-//! exactly: the crash lands after a marker is journaled but *before*
-//! that step's request is served, so every message consumed from the
-//! environment has its `ReadEnd` in the committed prefix and the seam
-//! accounting has no false positives on the honest scheduler.
 //!
 //! In teeth mode the seeded bug is installed on the pre-crash scheduler,
 //! the post-crash scheduler (same buggy binary) and the timed simulator;
@@ -38,18 +35,16 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use refined_prosa::RosslSystem;
 use rossl::{
-    ClientConfig, DegradedEvent, FirstByteCodec, Request, Response, RestartPolicy, Scheduler,
-    SeededBug, Supervisor,
+    marker_cost, ClientConfig, DegradedEvent, DriveError, Driver, Environment, FirstByteCodec,
+    Response, RestartPolicy, Scheduler, SeededBug, Served, Supervisor, Timed,
 };
 use rossl_faults::{FaultyCostModel, FaultySocketSet};
 use rossl_fleet::{splitmix64, Fleet, FleetConfig, HashRing, Workload};
 use rossl_journal::{recover, JournalWriter, KIND_EVENT};
-use rossl_model::{Duration, Instant, Job, Message, Mode, MsgData, SocketId, TaskSet, WcetTable};
+use rossl_model::{Duration, Instant, Job, Message, Mode, SocketId, TaskSet, WcetTable};
 use rossl_obs::{check_trace, Registry, SchedSink, SchedulerMetrics, TraceCollector};
 use rossl_sockets::{ReadOutcome, SocketSet};
-use rossl_timing::{
-    check_consistency, check_wcet_compliance, SimulationResult, Simulator, UniformCost,
-};
+use rossl_timing::{check_consistency, check_wcet_compliance, Simulator, UniformCost};
 use rossl_trace::{
     check_functional, check_stitched, pending_jobs, Marker, MarkerKind, ProtocolAutomaton,
     StitchedTrace,
@@ -103,21 +98,23 @@ fn finding(findings: &mut Vec<Finding>, oracle: &'static str, detail: String) {
 
 /// The per-socket FIFO environment of the raw drive, backed by the
 /// stack's own [`SocketSet`] transport (Def. 2.1 visibility: a message
-/// arriving at `t` is first readable at `t + 1`). Consumed cursors
-/// survive a crash: a message popped from the transport stays popped.
-struct Env {
+/// arriving at `t` is first readable at `t + 1`), charging the
+/// WCET-table [`marker_cost`]s. Consumed cursors survive a crash: a
+/// message popped from the transport stays popped.
+struct Env<'a> {
+    input: &'a FuzzInput,
+    tasks: &'a TaskSet,
+    wcet: WcetTable,
     sockets: SocketSet,
     consumed: Vec<usize>,
-    /// Set while the scheduler idles with undelivered arrivals still in
-    /// the transport: the next read on a non-empty socket is served via
-    /// [`SocketSet::read_deadline`], whose returned instant is the
-    /// wakeup time the virtual clock fast-forwards to — no hand-rolled
-    /// poll loop.
+    /// Set at an idle with arrivals still in flight: the next read on a
+    /// non-empty socket is served via [`SocketSet::read_deadline`], and
+    /// the clock fast-forwards to its wakeup instant.
     hungry: bool,
 }
 
-impl Env {
-    fn new(input: &FuzzInput) -> Env {
+impl<'a> Env<'a> {
+    fn new(input: &'a FuzzInput, system: &'a RosslSystem) -> Env<'a> {
         let mut sockets = SocketSet::new(input.n_sockets);
         for a in &input.arrivals {
             sockets
@@ -125,80 +122,74 @@ impl Env {
                 .expect("sanitized arrivals target existing sockets");
         }
         Env {
+            input,
+            tasks: system.tasks(),
+            wcet: *system.wcet(),
             sockets,
             consumed: vec![0; input.n_sockets],
             hungry: false,
         }
     }
 
-    /// Serves one scheduler `Read` request at virtual time `now`.
-    /// Returns the payload (if any) and the possibly fast-forwarded
-    /// clock value.
-    fn serve_read(&mut self, sock: usize, now: u64) -> (Option<MsgData>, u64) {
+    /// Called at every `M_Idling`: `true` once the transport is drained
+    /// and the scheduler is back in LO mode with nothing suspended
+    /// (degraded work is deferred, never abandoned). Otherwise the next
+    /// non-empty read waits for its message via the deadline API.
+    fn quiesced_at_idle(&mut self, sched: &Scheduler<FirstByteCodec>) -> bool {
+        if self.sockets.total_enqueued() == 0
+            && sched.suspended_count() == 0
+            && sched.mode() == Mode::Lo
+        {
+            return true;
+        }
+        self.hungry = true;
+        false
+    }
+}
+
+impl Environment for Env<'_> {
+    type Error = DriveError;
+
+    fn read(&mut self, sock: SocketId, now: Instant) -> Served<DriveError> {
         if self.hungry {
             // Idle wakeup: an unbounded deadline always finds the
             // socket's next message (a `Timeout` means the socket is
             // empty — the scheduler polls its next socket).
-            return match self
-                .sockets
-                .read_deadline(SocketId(sock), Instant(now), Instant(u64::MAX))
-            {
+            return Ok(match self.sockets.read_deadline(sock, now, Instant(u64::MAX)) {
                 Ok((ReadOutcome::Data { msg, .. }, at)) => {
-                    self.consumed[sock] += 1;
+                    self.consumed[sock.0] += 1;
                     self.hungry = false;
-                    (Some(msg.into_data()), at.0.max(now))
+                    (Some(msg.into_data()), at.max(now))
                 }
                 Ok((ReadOutcome::WouldBlock, _)) | Err(_) => (None, now),
-            };
+            });
         }
-        match self.sockets.try_read(SocketId(sock), Instant(now)) {
+        Ok(match self.sockets.try_read(sock, now) {
             Ok(ReadOutcome::Data { msg, .. }) => {
-                self.consumed[sock] += 1;
+                self.consumed[sock.0] += 1;
                 (Some(msg.into_data()), now)
             }
             _ => (None, now),
+        })
+    }
+
+    /// Jobs named by the input's overrun plan report a measured
+    /// execution time of `min(C_LO + extra, C_HI)` — always inside the
+    /// Vestal model, so the honest scheduler's reaction (arming a mode
+    /// switch) is *correct* behaviour, not a finding. Everything else
+    /// completes within budget.
+    fn execute(&mut self, job: &Job, _: Duration) -> Response {
+        let overrun = self.input.overruns.iter().find(|o| o.job == job.id().0);
+        match (overrun, self.tasks.task(job.task())) {
+            (Some(o), Some(t)) => {
+                Response::ExecutedIn((t.wcet() + Duration(o.extra)).min(t.wcet_hi()))
+            }
+            _ => Response::Executed,
         }
     }
 
-    fn drained(&self) -> bool {
-        self.sockets.total_enqueued() == 0
-    }
-}
-
-/// Virtual-clock cost of one marker in the raw drive. Only arrival
-/// gating and journal timestamps depend on it; every cost is ≥ 1 so the
-/// clock is strictly monotone.
-fn marker_cost(marker: &Marker, wcet: &WcetTable, tasks: &TaskSet) -> u64 {
-    match marker {
-        Marker::ReadStart | Marker::ReadEnd { .. } => 1,
-        Marker::Selection => wcet.selection.ticks(),
-        Marker::Dispatch(_) => wcet.dispatch.ticks(),
-        Marker::Execution(j) => tasks
-            .task(j.task())
-            .map(|t| t.wcet().ticks())
-            .unwrap_or(1)
-            .max(1),
-        Marker::Completion(_) => wcet.completion.ticks(),
-        // Mode switches are bounded like one idle iteration (see
-        // `rossl_timing::wcet_check`).
-        Marker::Idling | Marker::ModeSwitch { .. } => wcet.idling.ticks(),
-    }
-}
-
-/// The environment's answer to an `Execute` request. Jobs named by the
-/// input's overrun plan report a measured execution time of
-/// `min(C_LO + extra, C_HI)` — always inside the Vestal model, so the
-/// honest scheduler's reaction (arming a mode switch) is *correct*
-/// behaviour, not a finding. Everything else completes within budget.
-fn execute_response(input: &FuzzInput, tasks: &TaskSet, job: &Job) -> Response {
-    let Some(o) = input.overruns.iter().find(|o| o.job == job.id().0) else {
-        return Response::Executed;
-    };
-    match tasks.task(job.task()) {
-        Some(t) => Response::ExecutedIn(Duration(
-            (t.wcet().ticks() + o.extra).min(t.wcet_hi().ticks()),
-        )),
-        None => Response::Executed,
+    fn charge(&mut self, marker: &Marker) -> Duration {
+        marker_cost(marker, &self.wcet, self.tasks)
     }
 }
 
@@ -374,7 +365,6 @@ fn raw_drive(
     config: &Arc<ClientConfig>,
     out: &mut RunOutcome,
 ) {
-    let wcet = *system.wcet();
     let tasks = system.tasks();
     let registry = Registry::new();
     let bundle = SchedulerMetrics::register(&registry);
@@ -399,17 +389,16 @@ fn raw_drive(
     let mut monitor_dead = false;
     let mut events: Vec<DegradedEvent> = Vec::new();
 
-    let mut env = Env::new(input);
+    let mut env = Env::new(input, system);
+    let mut driver = Driver::new(sched, Instant::ZERO);
     let mut journal = JournalWriter::new();
     let mut commits_enabled = true;
     let mut trace: Vec<Marker> = Vec::new();
-    let mut now = 0u64;
-    let mut response: Option<Response> = None;
     let mut crashed = false;
     let mut quiesced = false;
 
     loop {
-        let step = match sched.advance(response.take()) {
+        let Timed { marker, end, .. } = match driver.step(&mut env) {
             Ok(step) => step,
             Err(e) => {
                 finding(
@@ -421,20 +410,18 @@ fn raw_drive(
             }
         };
         out.steps += 1;
-        now += marker_cost(&step.marker, &wcet, tasks);
-        journal.append(&step.marker, Instant(now));
+        journal.append(&marker, end);
         // The SkippedCommit driver bug: stop committing at the first
         // successful read journaled — the read record itself included.
         if bug == Some(SeededBug::SkippedCommit)
-            && matches!(step.marker, Marker::ReadEnd { job: Some(_), .. })
+            && matches!(marker, Marker::ReadEnd { job: Some(_), .. })
         {
             commits_enabled = false;
         }
         if commits_enabled {
             journal.commit();
         }
-        trace.push(step.marker.clone());
-        out.coverage.digest(sched.digest64());
+        out.coverage.digest(driver.scheduler().digest64());
 
         // Feed the online monitor: the marker first (it may change the
         // monitor's mode), then the degradation events the same step
@@ -442,16 +429,16 @@ fn raw_drive(
         // its ModeSwitch). A dead monitor stops eating but the drive
         // continues, so the remaining oracles still run.
         if !monitor_dead {
-            if let Err(v) = monitor.observe(&step.marker) {
+            if let Err(v) = monitor.observe(&marker) {
                 finding(
                     &mut out.findings,
                     "monitor",
-                    format!("online monitor rejected marker {}: {v}", trace.len() - 1),
+                    format!("online monitor rejected marker {}: {v}", trace.len()),
                 );
                 monitor_dead = true;
             }
         }
-        let step_events = sched.take_degradation_events();
+        let step_events = driver.scheduler_mut().take_degradation_events();
         for ev in &step_events {
             if !monitor_dead {
                 if let Err(v) = monitor.observe_degradation(ev) {
@@ -465,41 +452,19 @@ fn raw_drive(
             }
         }
         events.extend(step_events);
+        let idling = marker == Marker::Idling;
+        trace.push(marker);
 
-        // Crash lands after the marker is journaled, before the request
-        // is served — the same fork point CrashSweep uses, so consumed
-        // cursors never outrun the committed prefix.
+        // The crash lands after the marker is journaled: the driver
+        // simply takes no further step, so its request is never served
+        // and consumed cursors never outrun the committed prefix.
         if input.crash_at.is_some_and(|k| trace.len() as u64 >= k) {
             crashed = true;
             break;
         }
-
-        match step.request {
-            Some(Request::Read(sock)) => {
-                let (msg, at) = env.serve_read(sock.0, now);
-                now = at;
-                response = Some(Response::ReadResult(msg));
-            }
-            Some(Request::Execute(job)) => {
-                response = Some(execute_response(input, tasks, &job));
-            }
-            None => {}
-        }
-
-        if matches!(step.marker, Marker::Idling) {
-            // Quiesce only back in LO mode with an empty suspension
-            // buffer: a HI-mode scheduler must idle through its
-            // hysteresis, switch back to LO and resume (then run) its
-            // suspended jobs before the run may end — degraded work is
-            // deferred, never abandoned.
-            if env.drained() && sched.suspended_count() == 0 && sched.mode() == Mode::Lo {
-                quiesced = true;
-                break;
-            }
-            // Arrivals are still in flight: serve the next non-empty
-            // read through the deadline API, which fast-forwards the
-            // clock to the wakeup instant.
-            env.hungry = true;
+        if idling && env.quiesced_at_idle(driver.scheduler()) {
+            quiesced = true;
+            break;
         }
         if trace.len() >= MAX_DRIVE_STEPS {
             break;
@@ -509,11 +474,12 @@ fn raw_drive(
     out.coverage.trace(&trace);
 
     if crashed {
-        crash_oracles(input, bug, system, config, &mut env, journal, &trace, sched, now, out);
+        crash_oracles(bug, config, &mut env, journal, &trace, driver, out);
         return;
     }
 
-    sched.flush_telemetry();
+    driver.scheduler_mut().flush_telemetry();
+    let sched = driver.scheduler();
 
     if let Err(e) = ProtocolAutomaton::new(input.n_sockets).accept(&trace) {
         finding(&mut out.findings, "protocol", format!("{e}"));
@@ -585,23 +551,19 @@ fn raw_drive(
     telemetry_recount(&trace, &events, &registry, &mut out.findings);
 }
 
-#[allow(clippy::too_many_arguments)]
 fn crash_oracles(
-    input: &FuzzInput,
     bug: Option<SeededBug>,
-    system: &RosslSystem,
     config: &Arc<ClientConfig>,
     env: &mut Env,
     journal: JournalWriter,
     pre_trace: &[Marker],
-    crashed_sched: Scheduler<FirstByteCodec>,
-    mut now: u64,
+    crashed: Driver<FirstByteCodec>,
     out: &mut RunOutcome,
 ) {
-    let wcet = *system.wcet();
-    let tasks = system.tasks();
-    let pre_completed = crashed_sched.jobs_completed();
-    drop(crashed_sched);
+    let (input, tasks) = (env.input, env.tasks);
+    let now = crashed.now();
+    let pre_completed = crashed.scheduler().jobs_completed();
+    drop(crashed);
 
     let mut bytes = journal.into_bytes();
     // The write the crash interrupted: a torn event header.
@@ -759,11 +721,11 @@ fn crash_oracles(
             format!("journal recount references an unknown task: {e}"),
         ),
     }
+    let mut driver = Driver::new(sched2, now);
     let mut seg1: Vec<Marker> = Vec::new();
-    let mut response: Option<Response> = None;
     loop {
-        let step = match sched2.advance(response.take()) {
-            Ok(step) => step,
+        let marker = match driver.step(env) {
+            Ok(step) => step.marker,
             Err(e) => {
                 finding(
                     &mut out.findings,
@@ -774,29 +736,12 @@ fn crash_oracles(
             }
         };
         out.steps += 1;
-        now += marker_cost(&step.marker, &wcet, tasks);
-        seg1.push(step.marker.clone());
-        out.coverage.digest(sched2.digest64());
-        match step.request {
-            Some(Request::Read(sock)) => {
-                let (msg, at) = env.serve_read(sock.0, now);
-                now = at;
-                response = Some(Response::ReadResult(msg));
-            }
-            Some(Request::Execute(job)) => {
-                response = Some(execute_response(input, tasks, &job));
-            }
-            None => {}
-        }
-        if matches!(step.marker, Marker::Idling) {
-            // Same quiescence rule as the pre-crash drive: suspended
-            // work recovered into HI mode must be resumed and run.
-            if env.drained() && sched2.suspended_count() == 0 && sched2.mode() == Mode::Lo {
-                break;
-            }
-            env.hungry = true;
-        }
-        if seg1.len() >= MAX_DRIVE_STEPS {
+        out.coverage.digest(driver.scheduler().digest64());
+        let idling = marker == Marker::Idling;
+        seg1.push(marker);
+        // Suspended work recovered into HI mode must be resumed and run
+        // before the post-crash drive may end, too.
+        if idling && env.quiesced_at_idle(driver.scheduler()) || seg1.len() >= MAX_DRIVE_STEPS {
             break;
         }
     }
@@ -807,6 +752,7 @@ fn crash_oracles(
         .iter()
         .filter(|m| m.kind() == MarkerKind::Completion)
         .count() as u64;
+    let sched2 = driver.scheduler();
     if sched2.jobs_completed() != completed + seg1_completions {
         finding(
             &mut out.findings,
@@ -843,58 +789,36 @@ fn timed_drive(
     let config = ClientConfig::new(tasks.clone(), input.n_sockets)
         .expect("sanitized input yields a valid client config");
 
-    let result: SimulationResult = if input.faults.is_empty() {
-        let sim = match Simulator::new(config, FirstByteCodec, *system.wcet(), cost) {
-            Ok(sim) => sim,
-            Err(e) => {
-                finding(&mut out.findings, "drive", format!("simulator rejected input: {e}"));
-                return;
-            }
-        };
-        let mut sim = sim.with_telemetry(sink);
-        if let Some(b) = bug {
-            sim = sim.with_seeded_bug(b);
+    // Honest inputs take the fault-injection path too: an empty plan is
+    // transparent at both layers (`rossl-faults`' replay properties), and
+    // unclamped uniform picks never leave `[1, max]`. Mirrors
+    // RosslSystem::simulate_faulty_with_telemetry, with the seeded bug
+    // threaded through.
+    let plan = input.fault_plan();
+    let sockets = match FaultySocketSet::with_arrivals(input.n_sockets, &arrivals, &plan) {
+        Ok(sockets) => sockets,
+        Err(e) => {
+            finding(&mut out.findings, "drive", format!("fault plan broke the socket set: {e}"));
+            return;
         }
-        match sim.run(&arrivals, horizon) {
-            Ok(result) => result,
-            Err(e) => {
-                finding(&mut out.findings, "drive", format!("timed simulation failed: {e}"));
-                return;
-            }
+    };
+    let cost = FaultyCostModel::new(cost, &plan);
+    let sim = match Simulator::new(config, FirstByteCodec, *system.wcet(), cost) {
+        Ok(sim) => sim,
+        Err(e) => {
+            finding(&mut out.findings, "drive", format!("simulator rejected input: {e}"));
+            return;
         }
-    } else {
-        // Mirrors RosslSystem::simulate_faulty_with_telemetry, with the
-        // seeded bug threaded through.
-        let plan = input.fault_plan();
-        let sockets = match FaultySocketSet::with_arrivals(input.n_sockets, &arrivals, &plan) {
-            Ok(sockets) => sockets,
-            Err(e) => {
-                finding(
-                    &mut out.findings,
-                    "drive",
-                    format!("fault plan broke the socket set: {e}"),
-                );
-                return;
-            }
-        };
-        let faulty_cost = FaultyCostModel::new(cost, &plan);
-        let sim = match Simulator::new(config, FirstByteCodec, *system.wcet(), faulty_cost) {
-            Ok(sim) => sim,
-            Err(e) => {
-                finding(&mut out.findings, "drive", format!("simulator rejected input: {e}"));
-                return;
-            }
-        };
-        let mut sim = sim.unclamped().with_telemetry(sink);
-        if let Some(b) = bug {
-            sim = sim.with_seeded_bug(b);
-        }
-        match sim.run_with(sockets, horizon) {
-            Ok(result) => result,
-            Err(e) => {
-                finding(&mut out.findings, "drive", format!("faulty simulation failed: {e}"));
-                return;
-            }
+    };
+    let mut sim = sim.unclamped().with_telemetry(sink);
+    if let Some(b) = bug {
+        sim = sim.with_seeded_bug(b);
+    }
+    let result = match sim.run_with(sockets, horizon) {
+        Ok(result) => result,
+        Err(e) => {
+            finding(&mut out.findings, "drive", format!("timed simulation failed: {e}"));
+            return;
         }
     };
 

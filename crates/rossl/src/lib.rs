@@ -25,7 +25,8 @@
 //! emits exactly one [`Marker`](rossl_trace::Marker) (the instrumentation of §2.2/§3.2) and may
 //! return a [`Request`] that the driver must fulfil — reading a socket,
 //! executing a callback. The marker sequence produced this way is the trace
-//! `tr` that all of RefinedProsa's reasoning is about.
+//! `tr` that all of RefinedProsa's reasoning is about. Every linear drive
+//! is one [`Driver`], served by an [`Environment`] under a virtual clock.
 //!
 //! The environment answers a [`Request::Read`] with the raw message bytes
 //! (or `None`); the scheduler assigns the job its unique id and resolves
@@ -67,6 +68,7 @@
 mod admission;
 mod codec;
 mod config;
+mod driver;
 mod error;
 mod mode;
 mod mutation;
@@ -78,6 +80,7 @@ mod watchdog;
 pub use admission::AdmissionCache;
 pub use codec::{CodecError, FirstByteCodec, MessageCodec};
 pub use config::{ClientConfig, ConfigError};
+pub use driver::{marker_cost, Driver, Environment, Script, Served, Timed};
 pub use error::DriveError;
 pub use mode::ModePolicy;
 pub use mutation::SeededBug;

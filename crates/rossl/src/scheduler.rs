@@ -412,15 +412,6 @@ impl<C: MessageCodec> Scheduler<C> {
         hasher.finish()
     }
 
-    /// `true` when a [`Request`] is outstanding and the next
-    /// [`Scheduler::advance`] call must carry a [`Response`].
-    pub fn awaiting_response(&self) -> bool {
-        matches!(
-            self.state,
-            LoopState::AwaitRead { .. } | LoopState::AwaitExecution(_)
-        )
-    }
-
     /// Performs one step of the scheduling loop: emits exactly one marker
     /// and possibly a request for the environment.
     ///
@@ -847,7 +838,8 @@ impl<C> fmt::Display for Scheduler<C> {
 mod tests {
     use super::*;
     use crate::codec::FirstByteCodec;
-    use rossl_model::{Curve, Duration, Priority, Task, TaskSet};
+    use crate::driver::{Driver, Environment, Script, Served};
+    use rossl_model::{Curve, Duration, Instant, Priority, Task, TaskSet};
     use rossl_trace::{check_functional, ProtocolAutomaton};
 
     fn config(n_sockets: usize) -> ClientConfig {
@@ -871,26 +863,42 @@ mod tests {
         ClientConfig::new(tasks, n_sockets).unwrap()
     }
 
-    /// Drives the scheduler with scripted read outcomes until the script is
-    /// exhausted, executing every callback immediately. Returns the trace.
-    fn drive(n_sockets: usize, mut reads: Vec<Option<MsgData>>) -> Vec<Marker> {
-        reads.reverse(); // pop from the back
+    /// Drives an already-configured scheduler with scripted reads until
+    /// the script is exhausted, executing every callback immediately.
+    /// Returns the trace.
+    fn drive_sched(
+        sched: &mut Scheduler<FirstByteCodec>,
+        reads: Vec<Option<MsgData>>,
+    ) -> Vec<Marker> {
+        let mut driver = Driver::new(sched.clone(), Instant::ZERO);
+        let mut script = Script::new(reads);
+        let steps = script.run(&mut driver, usize::MAX).expect("drive ok");
+        *sched = driver.into_scheduler();
+        steps.into_iter().map(|t| t.marker).collect()
+    }
+
+    fn drive(n_sockets: usize, reads: Vec<Option<MsgData>>) -> Vec<Marker> {
         let mut sched = Scheduler::new(config(n_sockets), FirstByteCodec);
-        let mut trace = Vec::new();
-        let mut response = None;
-        loop {
-            let step = sched.advance(response.take()).expect("drive ok");
-            trace.push(step.marker);
-            match step.request {
-                Some(Request::Read(_)) => match reads.pop() {
-                    Some(r) => response = Some(Response::ReadResult(r)),
-                    None => break, // script exhausted; leave the read dangling
-                },
-                Some(Request::Execute(_)) => response = Some(Response::Executed),
-                None => {}
-            }
+        drive_sched(&mut sched, reads)
+    }
+
+    /// Scripted reads; every execution reports the next measured time,
+    /// 5 ticks once `times` runs out.
+    struct Measured {
+        script: Script,
+        times: Vec<Duration>,
+    }
+
+    impl Environment for Measured {
+        type Error = DriveError;
+
+        fn read(&mut self, sock: SocketId, now: Instant) -> Served<DriveError> {
+            self.script.read(sock, now)
         }
-        trace
+
+        fn execute(&mut self, _: &Job, _: Duration) -> Response {
+            Response::ExecutedIn(self.times.pop().unwrap_or(Duration(5)))
+        }
     }
 
     #[test]
@@ -976,7 +984,6 @@ mod tests {
     fn missing_response_errors() {
         let mut sched = Scheduler::new(config(1), FirstByteCodec);
         let _ = sched.advance(None).unwrap(); // M_ReadS, read outstanding
-        assert!(sched.awaiting_response());
         let err = sched.advance(None).unwrap_err();
         assert!(matches!(err, DriveError::MissingResponse { .. }));
     }
@@ -1019,44 +1026,24 @@ mod tests {
         use crate::watchdog::{DegradedEvent, WatchdogConfig};
         use rossl_model::Duration;
 
-        let mut sched =
-            Scheduler::new(config(1), FirstByteCodec).with_watchdog(WatchdogConfig::new(1));
-        // Deliver 4 low-priority jobs, then a failing read ends polling.
-        let mut reads: Vec<Option<MsgData>> = vec![
-            Some(vec![0]),
-            Some(vec![0]),
-            Some(vec![0]),
-            Some(vec![0]),
-            None, // polling ends; overrunning dispatch follows
-            None, // after exec j0: poll fails, shedding happens at Decide
-            None, // after exec j1: poll fails, queue is empty -> recovery
-        ];
-        reads.reverse();
-        let mut response = None;
-        let mut first_execution = true;
-        loop {
-            let step = sched.advance(response.take()).expect("drive ok");
-            match step.request {
-                Some(Request::Read(_)) => match reads.pop() {
-                    Some(r) => response = Some(Response::ReadResult(r)),
-                    None => break,
-                },
-                Some(Request::Execute(_)) => {
-                    // First callback blows its 10-tick budget; the rest are
-                    // fine.
-                    response = Some(Response::ExecutedIn(if first_execution {
-                        Duration(35)
-                    } else {
-                        Duration(5)
-                    }));
-                    first_execution = false;
-                }
-                None => {}
-            }
-            if matches!(step.marker, Marker::Idling) {
-                break;
-            }
-        }
+        let sched = Scheduler::new(config(1), FirstByteCodec).with_watchdog(WatchdogConfig::new(1));
+        // Deliver 4 low-priority jobs, then a failing read ends polling;
+        // the first callback blows its 10-tick budget, the rest are fine.
+        let mut env = Measured {
+            script: Script::new([
+                Some(vec![0]),
+                Some(vec![0]),
+                Some(vec![0]),
+                Some(vec![0]),
+                None, // polling ends; overrunning dispatch follows
+                None, // after exec j0: poll fails, shedding happens at Decide
+                None, // after exec j1: poll fails, queue is empty -> recovery
+            ]),
+            times: vec![Duration(35)],
+        };
+        let mut driver = Driver::new(sched, Instant::ZERO);
+        while driver.step(&mut env).expect("drive ok").marker != Marker::Idling {}
+        let mut sched = driver.into_scheduler();
         let events = sched.take_degradation_events();
         assert!(matches!(
             events[0],
@@ -1084,21 +1071,15 @@ mod tests {
     #[test]
     fn executed_in_without_watchdog_is_plain_completion() {
         use rossl_model::Duration;
-        let mut sched = Scheduler::new(config(1), FirstByteCodec);
-        let mut response = None;
-        let mut reads = vec![None, Some(vec![0])];
+        let mut env = Measured {
+            script: Script::new([Some(vec![0]), None]),
+            times: vec![Duration(1_000_000)],
+        };
+        let mut driver = Driver::new(Scheduler::new(config(1), FirstByteCodec), Instant::ZERO);
         for _ in 0..8 {
-            let step = sched.advance(response.take()).unwrap();
-            match step.request {
-                Some(Request::Read(_)) => {
-                    response = Some(Response::ReadResult(reads.pop().flatten()))
-                }
-                Some(Request::Execute(_)) => {
-                    response = Some(Response::ExecutedIn(Duration(1_000_000)))
-                }
-                None => {}
-            }
+            driver.step(&mut env).unwrap();
         }
+        let mut sched = driver.into_scheduler();
         assert_eq!(sched.jobs_completed(), 1);
         assert!(!sched.degraded());
         assert!(sched.take_degradation_events().is_empty());
@@ -1112,8 +1093,7 @@ mod tests {
         let bundle = SchedulerMetrics::register(&registry);
         let mut sched = Scheduler::new(config(2), FirstByteCodec)
             .with_telemetry(SchedSink::Metrics(Arc::clone(&bundle)));
-
-        let mut reads: Vec<Option<MsgData>> = vec![
+        let reads: Vec<Option<MsgData>> = vec![
             Some(vec![0]),
             None,
             Some(vec![1]),
@@ -1123,21 +1103,7 @@ mod tests {
             None,
             None,
         ];
-        reads.reverse();
-        let mut trace = Vec::new();
-        let mut response = None;
-        loop {
-            let step = sched.advance(response.take()).expect("drive ok");
-            trace.push(step.marker);
-            match step.request {
-                Some(Request::Read(_)) => match reads.pop() {
-                    Some(r) => response = Some(Response::ReadResult(r)),
-                    None => break,
-                },
-                Some(Request::Execute(_)) => response = Some(Response::Executed),
-                None => {}
-            }
-        }
+        let trace = drive_sched(&mut sched, reads);
         sched.flush_telemetry();
 
         let count = |f: fn(&Marker) -> bool| trace.iter().filter(|m| f(m)).count() as u64;
@@ -1184,29 +1150,6 @@ mod tests {
             SchedSink::Metrics(rossl_obs::SchedulerMetrics::register(&registry)),
         );
         assert_eq!(digest(&plain), digest(&instrumented));
-    }
-
-    /// Drives an already-configured scheduler with scripted reads.
-    fn drive_sched(
-        sched: &mut Scheduler<FirstByteCodec>,
-        mut reads: Vec<Option<MsgData>>,
-    ) -> Vec<Marker> {
-        reads.reverse();
-        let mut trace = Vec::new();
-        let mut response = None;
-        loop {
-            let step = sched.advance(response.take()).expect("drive ok");
-            trace.push(step.marker);
-            match step.request {
-                Some(Request::Read(_)) => match reads.pop() {
-                    Some(r) => response = Some(Response::ReadResult(r)),
-                    None => break,
-                },
-                Some(Request::Execute(_)) => response = Some(Response::Executed),
-                None => {}
-            }
-        }
-        trace
     }
 
     #[test]
@@ -1267,19 +1210,10 @@ mod tests {
 
     #[test]
     fn completion_counter_advances() {
-        let mut sched = Scheduler::new(config(1), FirstByteCodec);
-        let mut response = None;
-        let mut reads = vec![None, Some(vec![1])]; // pop order: job then fail
-        for _ in 0..8 {
-            let step = sched.advance(response.take()).unwrap();
-            match step.request {
-                Some(Request::Read(_)) => {
-                    response = Some(Response::ReadResult(reads.pop().flatten()))
-                }
-                Some(Request::Execute(_)) => response = Some(Response::Executed),
-                None => {}
-            }
-        }
+        let mut driver = Driver::new(Scheduler::new(config(1), FirstByteCodec), Instant::ZERO);
+        let mut script = Script::new([Some(vec![1]), None]);
+        script.run(&mut driver, 8).unwrap();
+        let sched = driver.scheduler();
         assert_eq!(sched.jobs_completed(), 1);
         assert_eq!(sched.pending_count(), 0);
     }

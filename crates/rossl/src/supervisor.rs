@@ -338,9 +338,9 @@ impl Supervisor {
 mod tests {
     use super::*;
     use crate::codec::FirstByteCodec;
-    use crate::scheduler::{Request, Response};
+    use crate::driver::{Driver, Script};
     use rossl_journal::JournalWriter;
-    use rossl_model::{Curve, Instant, MsgData, Priority, Task, TaskId, TaskSet};
+    use rossl_model::{Curve, Instant, Priority, Task, TaskId, TaskSet};
     use rossl_trace::{check_stitched, StitchedTrace};
 
     fn config() -> ClientConfig {
@@ -364,55 +364,42 @@ mod tests {
         ClientConfig::new(tasks, 1).unwrap()
     }
 
-    /// Drives `sched` for at most `steps` markers, journaling each with
-    /// a commit, feeding scripted reads. Returns the emitted markers.
+    /// Drives for at most `steps` markers, journaling each with a
+    /// commit, feeding scripted reads. Returns the emitted markers.
     fn drive_journaled(
-        sched: &mut Scheduler<FirstByteCodec>,
-        reads: &mut Vec<Option<MsgData>>,
-        steps: usize,
+        driver: &mut Driver<FirstByteCodec>,
+        mut script: Script,
+        max_steps: usize,
         journal: &mut JournalWriter,
-        clock: &mut u64,
     ) -> Vec<Marker> {
-        let mut trace = Vec::new();
-        let mut response = None;
-        for _ in 0..steps {
-            let step = sched.advance(response.take()).expect("drive ok");
-            *clock += 1;
-            journal.append(&step.marker, Instant(*clock));
+        let steps = script.run(driver, max_steps).expect("drive ok");
+        for step in &steps {
+            journal.append(&step.marker, step.end);
             journal.commit();
-            trace.push(step.marker);
-            match step.request {
-                Some(Request::Read(_)) => match reads.pop() {
-                    Some(r) => response = Some(Response::ReadResult(r)),
-                    None => break,
-                },
-                Some(Request::Execute(_)) => response = Some(Response::Executed),
-                None => {}
-            }
         }
-        trace
+        steps.into_iter().map(|t| t.marker).collect()
     }
 
     #[test]
     fn crash_mid_execution_recovers_and_stitches() {
         // Script: one low job arrives, polling ends, dispatch, execute —
         // crash right after M_Execution (before M_Completion).
-        let mut reads = vec![None, Some(vec![0])]; // popped from the back
+        let script = Script::new([Some(vec![0]), None]);
         let mut journal = JournalWriter::new();
-        let mut clock = 0;
-        let mut sched = Scheduler::new(config(), FirstByteCodec);
+        let mut driver = Driver::new(Scheduler::new(config(), FirstByteCodec), Instant::ZERO);
         // 7 markers: ReadS, ReadE j0, ReadS, ReadE ⊥, Selection,
         // Dispatch j0, Execution j0.
-        let seg0 = drive_journaled(&mut sched, &mut reads, 7, &mut journal, &mut clock);
+        let seg0 = drive_journaled(&mut driver, script, 7, &mut journal);
         assert!(matches!(seg0.last(), Some(Marker::Execution(_))));
-        drop(sched); // the crash
+        let clock = driver.now();
+        drop(driver); // the crash
 
         // The crash tears the next write in half.
         let mut bytes = journal.into_bytes();
         bytes.extend_from_slice(&[rossl_journal::KIND_EVENT, 0xAA]);
 
         let mut sup = Supervisor::new(RestartPolicy::default());
-        let (mut sched, state, corruption) = sup
+        let (sched, state, corruption) = sup
             .restart(&bytes, config(), FirstByteCodec)
             .expect("recovery");
         // The torn tail is reported but harmless.
@@ -425,15 +412,15 @@ mod tests {
         assert_eq!(sup.backoff_log(), &[Duration(1)]);
 
         // Restarted run: poll fails, re-dispatch j0, complete it.
-        let mut reads = vec![None, None];
         let mut journal2 = JournalWriter::new();
-        let seg1 = drive_journaled(&mut sched, &mut reads, 8, &mut journal2, &mut clock);
+        let mut driver = Driver::new(sched, clock);
+        let seg1 = drive_journaled(&mut driver, Script::new([None, None]), 8, &mut journal2);
         assert!(seg1.contains(&Marker::Completion(Job::new(
             JobId(0),
             TaskId(0),
             vec![0]
         ))));
-        assert_eq!(sched.jobs_completed(), 1);
+        assert_eq!(driver.scheduler().jobs_completed(), 1);
 
         // The stitched trace passes all three checking layers, with the
         // environment having consumed exactly one message from sock 0.

@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 
-use rossl::{ClientConfig, FirstByteCodec, Request, Response, Scheduler};
-use rossl_model::{Curve, Duration, MsgData, Priority, Task, TaskId, TaskSet};
+use rossl::{ClientConfig, Driver, FirstByteCodec, Scheduler, Script};
+use rossl_model::{Curve, Duration, Instant, MsgData, Priority, Task, TaskId, TaskSet};
 use rossl_trace::{check_functional, pending_jobs, Marker, ProtocolAutomaton, TraceStats};
 
 fn config(n_tasks: usize, n_sockets: usize) -> ClientConfig {
@@ -30,25 +30,12 @@ fn config(n_tasks: usize, n_sockets: usize) -> ClientConfig {
 /// immediately. Returns the trace and the final scheduler.
 fn drive(
     config: ClientConfig,
-    mut script: Vec<Option<MsgData>>,
+    script: Vec<Option<MsgData>>,
 ) -> (Vec<Marker>, Scheduler<FirstByteCodec>) {
-    script.reverse();
-    let mut sched = Scheduler::new(config, FirstByteCodec);
-    let mut trace = Vec::new();
-    let mut response = None;
-    loop {
-        let step = sched.advance(response.take()).expect("valid driving");
-        trace.push(step.marker);
-        match step.request {
-            Some(Request::Read(_)) => match script.pop() {
-                Some(r) => response = Some(Response::ReadResult(r)),
-                None => break,
-            },
-            Some(Request::Execute(_)) => response = Some(Response::Executed),
-            None => {}
-        }
-    }
-    (trace, sched)
+    let mut driver = Driver::new(Scheduler::new(config, FirstByteCodec), Instant::ZERO);
+    let steps = Script::new(script).run(&mut driver, usize::MAX);
+    let trace = steps.expect("valid driving").into_iter().map(|t| t.marker);
+    (trace.collect(), driver.into_scheduler())
 }
 
 fn arb_script(n_tasks: usize) -> impl Strategy<Value = Vec<Option<MsgData>>> {

@@ -1,23 +1,23 @@
 //! The virtual-clock simulator: produces timed traces of real scheduler
 //! runs.
 //!
-//! The simulator plays the role of the paper's physical environment: it
-//! owns the clock, fulfils the scheduler's [`Request`]s against the socket
-//! substrate, and decides (via a [`CostModel`]) how much time every code
-//! segment consumes — always within the WCET table, so every produced run
-//! satisfies the assumptions of Thm. 5.1 by construction. Reads are
-//! linearized at the `M_ReadE` timestamp, exactly where Def. 2.1 samples
-//! them.
+//! The simulator plays the role of the paper's physical environment: the
+//! [`Environment`] a [`Driver`] serves the scheduler's requests from. It
+//! reads the socket substrate and decides (via a [`CostModel`]) how much
+//! time every code segment consumes — always within the WCET table, so
+//! every produced run satisfies the assumptions of Thm. 5.1 by
+//! construction. Reads are linearized at the `M_ReadE` timestamp, exactly
+//! where Def. 2.1 samples them.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use rossl::{
-    ClientConfig, DegradedEvent, DriveError, MessageCodec, Request, Response, Scheduler,
-    WatchdogConfig,
+    marker_cost, ClientConfig, DegradedEvent, DriveError, Driver, Environment, MessageCodec,
+    Response, Scheduler, Served, Timed, WatchdogConfig,
 };
 use rossl_model::{
-    Duration, Instant, JobId, ModelError, TaskId, WcetTable,
+    Duration, Instant, Job, JobId, ModelError, SocketId, TaskId, TaskSet, WcetTable,
 };
 use rossl_sockets::{ArrivalSequence, DatagramSource, ReadOutcome, SocketError, SocketSet};
 use rossl_trace::Marker;
@@ -181,20 +181,14 @@ impl SimulationResult {
 /// ```
 #[derive(Debug)]
 pub struct Simulator<C, M> {
-    config: ClientConfig,
-    codec: C,
+    /// The scheduler to drive, with its watchdog, telemetry sink and
+    /// seeded bug (if any) installed.
+    scheduler: Scheduler<C>,
     wcet: WcetTable,
     cost: M,
     unclamped: bool,
-    watchdog: Option<WatchdogConfig>,
-    /// Batched scheduler-loop counters ([`rossl_obs::SchedSink::Noop`]
-    /// by default — one discriminant test per flush point).
-    sink: rossl_obs::SchedSink,
     /// Bound-margin observatory fed at dispatch and completion markers.
     observatory: Option<std::sync::Arc<rossl_obs::BoundObservatory>>,
-    /// Mutation-testing hook passed through to the driven scheduler
-    /// (`None` outside `fuzz --teeth`).
-    seeded_bug: Option<rossl::SeededBug>,
 }
 
 impl<C: MessageCodec + Clone, M: CostModel> Simulator<C, M> {
@@ -212,15 +206,11 @@ impl<C: MessageCodec + Clone, M: CostModel> Simulator<C, M> {
     ) -> Result<Simulator<C, M>, SimulationError> {
         wcet.validate().map_err(SimulationError::InvalidWcet)?;
         Ok(Simulator {
-            config,
-            codec,
+            scheduler: Scheduler::new(config, codec),
             wcet,
             cost,
             unclamped: false,
-            watchdog: None,
-            sink: rossl_obs::SchedSink::Noop,
             observatory: None,
-            seeded_bug: None,
         })
     }
 
@@ -242,7 +232,7 @@ impl<C: MessageCodec + Clone, M: CostModel> Simulator<C, M> {
     /// reports measured execution times to it (see
     /// [`Scheduler::with_watchdog`]).
     pub fn with_watchdog(mut self, watchdog: WatchdogConfig) -> Simulator<C, M> {
-        self.watchdog = Some(watchdog);
+        self.scheduler = self.scheduler.with_watchdog(watchdog);
         self
     }
 
@@ -251,7 +241,7 @@ impl<C: MessageCodec + Clone, M: CostModel> Simulator<C, M> {
     /// still pending at the horizon is flushed before the result is
     /// assembled.
     pub fn with_telemetry(mut self, sink: rossl_obs::SchedSink) -> Simulator<C, M> {
-        self.sink = sink;
+        self.scheduler = self.scheduler.with_telemetry(sink);
         self
     }
 
@@ -273,7 +263,7 @@ impl<C: MessageCodec + Clone, M: CostModel> Simulator<C, M> {
     /// the fuzzer's teeth mode uses this to prove its oracles detect
     /// known-broken schedulers through the timed pipeline too.
     pub fn with_seeded_bug(mut self, bug: rossl::SeededBug) -> Simulator<C, M> {
-        self.seeded_bug = Some(bug);
+        self.scheduler = self.scheduler.with_seeded_bug(bug);
         self
     }
 
@@ -289,7 +279,7 @@ impl<C: MessageCodec + Clone, M: CostModel> Simulator<C, M> {
         arrivals: &ArrivalSequence,
         horizon: Instant,
     ) -> Result<SimulationResult, SimulationError> {
-        let sockets = SocketSet::try_with_arrivals(self.config.n_sockets(), arrivals)?;
+        let sockets = SocketSet::try_with_arrivals(self.scheduler.config().n_sockets(), arrivals)?;
         self.run_with(sockets, horizon)
     }
 
@@ -306,136 +296,54 @@ impl<C: MessageCodec + Clone, M: CostModel> Simulator<C, M> {
     /// As [`Simulator::run`], plus [`SimulationError::Socket`] if the
     /// source rejects a read.
     pub fn run_with<S: DatagramSource>(
-        mut self,
-        mut sockets: S,
+        self,
+        sockets: S,
         horizon: Instant,
     ) -> Result<SimulationResult, SimulationError> {
-        let mut scheduler = Scheduler::new(self.config.clone(), self.codec.clone())
-            .with_telemetry(self.sink.clone());
-        if let Some(watchdog) = self.watchdog {
-            scheduler = scheduler.with_watchdog(watchdog);
-        }
-        if let Some(bug) = self.seeded_bug {
-            scheduler = scheduler.with_seeded_bug(bug);
-        }
+        let mut env = SimEnv {
+            sockets,
+            cost: self.cost,
+            wcet: self.wcet,
+            tasks: self.scheduler.config().tasks().clone(),
+            unclamped: self.unclamped,
+            probe_spent: Duration::ZERO,
+            staged_arrival: None,
+        };
+        let mut driver = Driver::new(self.scheduler, Instant::ZERO);
 
-        let mut now = Instant::ZERO;
         let mut markers: Vec<Marker> = Vec::new();
         let mut timestamps: Vec<Instant> = Vec::new();
         let mut jobs: BTreeMap<JobId, JobRecord> = BTreeMap::new();
 
-        let mut response: Option<Response> = None;
-        // The arrival instant of the message just read (staged between the
-        // read fulfilment and the M_ReadE marker that names the job).
-        let mut staged_arrival: Option<Instant> = None;
-        // Duration of the probe segment of the in-flight read, to bound the
-        // finish segment.
-        let mut probe_spent = Duration::ZERO;
-
-        // Probe bound: the read's WCET must leave ≥ 1 tick for the finish
-        // segment for either outcome.
-        let probe_max = Duration(
-            self.wcet
-                .failed_read
-                .ticks()
-                .min(self.wcet.successful_read.ticks())
-                .saturating_sub(1),
-        );
-
-        while now <= horizon {
-            let step = scheduler.advance(response.take())?;
-            markers.push(step.marker.clone());
-            timestamps.push(now);
-
-            // Per-marker bookkeeping and clock advance for the segment the
-            // marker starts.
-            match &step.marker {
-                Marker::ReadStart => {
-                    let pick = self.cost.pick(Segment::ReadProbe, probe_max);
-                    let d = self.bound(pick, probe_max);
-                    probe_spent = d;
-                    now = now.saturating_add(d);
-                    // Fulfil the read at the advanced clock: the read's
-                    // linearization point is the M_ReadE timestamp.
-                    let Some(Request::Read(sock)) = step.request else {
-                        return Err(SimulationError::Internal(
-                            "M_ReadS must carry a read request",
-                        ));
-                    };
-                    match sockets.try_read(sock, now)? {
-                        ReadOutcome::Data { msg, arrived } => {
-                            staged_arrival = Some(arrived);
-                            response = Some(Response::ReadResult(Some(msg.into_data())));
-                        }
-                        ReadOutcome::WouldBlock => {
-                            staged_arrival = None;
-                            response = Some(Response::ReadResult(None));
-                        }
-                    }
-                }
-                Marker::ReadEnd { job, .. } => {
-                    let success = job.is_some();
-                    if let Some(j) = job {
-                        let arrived = staged_arrival.take().ok_or(SimulationError::Internal(
-                            "successful read must have a staged arrival",
-                        ))?;
-                        jobs.insert(
-                            j.id(),
-                            JobRecord {
-                                task: j.task(),
-                                arrived,
-                                read_at: now,
-                                completed: None,
-                            },
-                        );
-                    }
-                    let total = if success {
-                        self.wcet.successful_read
-                    } else {
-                        self.wcet.failed_read
-                    };
-                    let max = total.saturating_sub(probe_spent);
-                    let pick = self.cost.pick(Segment::ReadFinish { success }, max);
-                    let d = self.bound(pick, max);
-                    now = now.saturating_add(d);
-                }
-                Marker::Selection => {
-                    let pick = self.cost.pick(Segment::Selection, self.wcet.selection);
-                    let d = self.bound(pick, self.wcet.selection);
-                    now = now.saturating_add(d);
+        // Every marker is stamped at the start of its segment.
+        while driver.now() <= horizon {
+            let Timed { marker, start, .. } = driver.step(&mut env)?;
+            match &marker {
+                Marker::ReadEnd { job: Some(j), .. } => {
+                    let arrived = env.staged_arrival.take().ok_or(SimulationError::Internal(
+                        "successful read must have a staged arrival",
+                    ))?;
+                    jobs.insert(
+                        j.id(),
+                        JobRecord {
+                            task: j.task(),
+                            arrived,
+                            read_at: start,
+                            completed: None,
+                        },
+                    );
                 }
                 Marker::Dispatch(j) => {
-                    if let Some(obs) = &self.observatory {
-                        if let Some(record) = jobs.get(&j.id()) {
-                            obs.observe_dispatch_wait(
-                                j.task().0,
-                                now.saturating_duration_since(record.arrived).ticks(),
-                            );
-                        }
+                    if let (Some(obs), Some(record)) = (&self.observatory, jobs.get(&j.id())) {
+                        obs.observe_dispatch_wait(
+                            j.task().0,
+                            start.saturating_duration_since(record.arrived).ticks(),
+                        );
                     }
-                    let pick = self.cost.pick(Segment::Dispatch, self.wcet.dispatch);
-                    let d = self.bound(pick, self.wcet.dispatch);
-                    now = now.saturating_add(d);
-                }
-                Marker::Execution(j) => {
-                    let budget = self
-                        .config
-                        .tasks()
-                        .task(j.task())
-                        .ok_or(SimulationError::Drive(DriveError::UnknownTask {
-                            task: j.task().0,
-                        }))?
-                        .wcet();
-                    let pick = self.cost.pick(Segment::Execution(j.task()), budget);
-                    let d = self.bound(pick, budget);
-                    now = now.saturating_add(d);
-                    // Report the measured execution time; without a
-                    // watchdog this is equivalent to plain `Executed`.
-                    response = Some(Response::ExecutedIn(d));
                 }
                 Marker::Completion(j) => {
                     if let Some(record) = jobs.get_mut(&j.id()) {
-                        record.completed = Some(now);
+                        record.completed = Some(start);
                         if let Some(obs) = &self.observatory {
                             // The return value is also stored in the
                             // observatory's alert buffer; the simulator
@@ -443,29 +351,18 @@ impl<C: MessageCodec + Clone, M: CostModel> Simulator<C, M> {
                             let _ = obs.observe_completion(
                                 j.task().0,
                                 j.id().0,
-                                now.saturating_duration_since(record.arrived).ticks(),
+                                start.saturating_duration_since(record.arrived).ticks(),
                             );
                         }
                     }
-                    let pick = self.cost.pick(Segment::Completion, self.wcet.completion);
-                    let d = self.bound(pick, self.wcet.completion);
-                    now = now.saturating_add(d);
                 }
-                Marker::Idling => {
-                    let pick = self.cost.pick(Segment::Idling, self.wcet.idling);
-                    let d = self.bound(pick, self.wcet.idling);
-                    now = now.saturating_add(d);
-                }
-                // A mode switch is a bounded bookkeeping segment with the
-                // idle iteration's budget (see `wcet_check::bound_of`).
-                Marker::ModeSwitch { .. } => {
-                    let pick = self.cost.pick(Segment::Idling, self.wcet.idling);
-                    let d = self.bound(pick, self.wcet.idling);
-                    now = now.saturating_add(d);
-                }
+                _ => {}
             }
+            markers.push(marker);
+            timestamps.push(start);
         }
 
+        let scheduler = driver.scheduler_mut();
         scheduler.flush_telemetry();
 
         Ok(SimulationResult {
@@ -475,18 +372,88 @@ impl<C: MessageCodec + Clone, M: CostModel> Simulator<C, M> {
             degradation: scheduler.take_degradation_events(),
         })
     }
+}
 
-    /// Defensively clamps a cost-model pick into `[1, max]` so that a
-    /// buggy model cannot produce WCET-violating or zero-length segments.
-    /// In [`Simulator::unclamped`] mode only the lower bound is kept: the
-    /// clock must advance, but picks may exceed their budgets — that is
-    /// what fault injection is for.
-    fn bound(&self, d: Duration, max: Duration) -> Duration {
-        if self.unclamped {
-            Duration(d.ticks().max(1))
+/// The simulator's environment: the socket substrate, read at the
+/// advanced clock (a read's linearization point is its `M_ReadE`
+/// timestamp), and the cost model's picks, bounded by the WCET table.
+struct SimEnv<S, M> {
+    sockets: S,
+    cost: M,
+    wcet: WcetTable,
+    tasks: TaskSet,
+    unclamped: bool,
+    /// Duration of the in-flight read's probe, to bound its finish.
+    probe_spent: Duration,
+    /// The arrival instant of the message just read, staged between the
+    /// read and the `M_ReadE` that names the job.
+    staged_arrival: Option<Instant>,
+}
+
+impl<S: DatagramSource, M: CostModel> Environment for SimEnv<S, M> {
+    type Error = SimulationError;
+
+    fn read(&mut self, sock: SocketId, now: Instant) -> Served<SimulationError> {
+        let (data, arrived) = match self.sockets.try_read(sock, now)? {
+            ReadOutcome::Data { msg, arrived } => (Some(msg.into_data()), Some(arrived)),
+            ReadOutcome::WouldBlock => (None, None),
+        };
+        self.staged_arrival = arrived;
+        Ok((data, now))
+    }
+
+    /// Reports the measured execution time; without a watchdog this is
+    /// equivalent to plain `Executed`.
+    fn execute(&mut self, _: &Job, charged: Duration) -> Response {
+        Response::ExecutedIn(charged)
+    }
+
+    fn charge(&mut self, marker: &Marker) -> Duration {
+        let (segment, max) = match marker {
+            // The read's WCET must leave ≥ 1 tick for the finish segment
+            // for either outcome.
+            Marker::ReadStart => (
+                Segment::ReadProbe,
+                self.wcet.failed_read.min(self.wcet.successful_read).saturating_sub(Duration(1)),
+            ),
+            Marker::ReadEnd { job, .. } => {
+                let success = job.is_some();
+                let total = if success {
+                    self.wcet.successful_read
+                } else {
+                    self.wcet.failed_read
+                };
+                (
+                    Segment::ReadFinish { success },
+                    total.saturating_sub(self.probe_spent),
+                )
+            }
+            Marker::Selection => (Segment::Selection, self.wcet.selection),
+            Marker::Dispatch(_) => (Segment::Dispatch, self.wcet.dispatch),
+            Marker::Execution(j) => (
+                Segment::Execution(j.task()),
+                marker_cost(marker, &self.wcet, &self.tasks),
+            ),
+            Marker::Completion(_) => (Segment::Completion, self.wcet.completion),
+            // A mode switch is a bounded bookkeeping segment with the
+            // idle iteration's budget (see `wcet_check::bound_of`).
+            Marker::Idling | Marker::ModeSwitch { .. } => (Segment::Idling, self.wcet.idling),
+        };
+        // Defensively clamp the pick into `[1, max]` so that a buggy
+        // model cannot produce WCET-violating or zero-length segments.
+        // In [`Simulator::unclamped`] mode only the lower bound is kept:
+        // the clock must advance, but picks may exceed their budgets —
+        // that is what fault injection is for.
+        let pick = self.cost.pick(segment, max).ticks();
+        let d = Duration(if self.unclamped {
+            pick.max(1)
         } else {
-            Duration(d.ticks().clamp(1, max.ticks().max(1)))
+            pick.clamp(1, max.ticks().max(1))
+        });
+        if matches!(marker, Marker::ReadStart) {
+            self.probe_spent = d;
         }
+        d
     }
 }
 

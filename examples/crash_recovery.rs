@@ -8,10 +8,10 @@
 //! ```
 
 use rossl::{
-    ClientConfig, FirstByteCodec, Request, Response, RestartPolicy, Scheduler, Supervisor,
+    ClientConfig, DriveError, Driver, FirstByteCodec, RestartPolicy, Scheduler, Script, Supervisor,
 };
 use rossl_journal::{JournalWriter, KIND_EVENT};
-use rossl_model::{Curve, Duration, Instant, MsgData, Priority, Task, TaskId, TaskSet};
+use rossl_model::{Curve, Duration, Instant, Priority, Task, TaskId, TaskSet};
 use rossl_trace::{check_stitched, Marker, StitchedTrace};
 use rossl_verify::CrashSweep;
 
@@ -35,34 +35,21 @@ fn config() -> Result<ClientConfig, Box<dyn std::error::Error>> {
     Ok(ClientConfig::new(tasks, 1)?)
 }
 
-/// Drives `sched` for at most `steps` markers, appending each to the
-/// journal with an immediate commit and feeding scripted reads (popped
-/// from the back of `reads`).
+/// Drives for at most `max_steps` markers against `script`, appending
+/// each to the journal with an immediate commit, stamped with the end
+/// of its one-tick segment.
 fn drive(
-    sched: &mut Scheduler<FirstByteCodec>,
-    reads: &mut Vec<Option<MsgData>>,
-    steps: usize,
+    driver: &mut Driver<FirstByteCodec>,
+    mut script: Script,
+    max_steps: usize,
     journal: &mut JournalWriter,
-    clock: &mut u64,
-) -> Vec<Marker> {
-    let mut trace = Vec::new();
-    let mut response = None;
-    for _ in 0..steps {
-        let step = sched.advance(response.take()).expect("drive ok");
-        *clock += 1;
-        journal.append(&step.marker, Instant(*clock));
+) -> Result<Vec<Marker>, DriveError> {
+    let steps = script.run(driver, max_steps)?;
+    for step in &steps {
+        journal.append(&step.marker, step.end);
         journal.commit();
-        trace.push(step.marker);
-        match step.request {
-            Some(Request::Read(_)) => match reads.pop() {
-                Some(r) => response = Some(Response::ReadResult(r)),
-                None => break,
-            },
-            Some(Request::Execute(_)) => response = Some(Response::Executed),
-            None => {}
-        }
     }
-    trace
+    Ok(steps.into_iter().map(|t| t.marker).collect())
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -71,16 +58,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One telemetry message arrives; the scheduler accepts it, dispatches
     // it, starts executing it — and the process dies before the
     // completion marker. The write that was in flight is torn in half.
-    let mut reads = vec![None, Some(vec![0])]; // popped from the back
     let mut journal = JournalWriter::new();
-    let mut clock = 0;
-    let mut sched = Scheduler::new(config()?, FirstByteCodec);
-    let seg0 = drive(&mut sched, &mut reads, 7, &mut journal, &mut clock);
+    let mut driver = Driver::new(Scheduler::new(config()?, FirstByteCodec), Instant::ZERO);
+    let script = Script::new([Some(vec![0]), None]);
+    let seg0 = drive(&mut driver, script, 7, &mut journal)?;
     println!("pre-crash segment ({} markers):", seg0.len());
     for m in &seg0 {
         println!("  {m}");
     }
-    drop(sched); // the crash
+    let clock = driver.now();
+    drop(driver); // the crash
 
     let mut bytes = journal.into_bytes();
     bytes.extend_from_slice(&[KIND_EVENT, 0xAA]); // torn mid-record write
@@ -90,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // corruption, and rebuilds the scheduler state: the dispatched but
     // uncompleted job is voided and re-pended for redispatch.
     let mut sup = Supervisor::new(RestartPolicy::default());
-    let (mut sched, state, corruption) = sup.restart(&bytes, config()?, FirstByteCodec)?;
+    let (sched, state, corruption) = sup.restart(&bytes, config()?, FirstByteCodec)?;
     println!(
         "recovered: {} pending job(s), next_job_id={}, corruption: {}",
         state.pending.len(),
@@ -103,9 +90,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Post-crash run: no further messages; the scheduler re-polls,
     // redispatches the voided job and completes it.
-    let mut reads = vec![None, None];
     let mut journal2 = JournalWriter::new();
-    let seg1 = drive(&mut sched, &mut reads, 8, &mut journal2, &mut clock);
+    let mut driver = Driver::new(sched, clock);
+    let seg1 = drive(&mut driver, Script::new([None, None]), 8, &mut journal2)?;
     println!("\npost-crash segment ({} markers):", seg1.len());
     for m in &seg1 {
         println!("  {m}");

@@ -14,9 +14,9 @@
 //!    torn tails) is reported as typed errors with a recoverable prefix
 //!    and never panics.
 
-use rossl::{ClientConfig, FirstByteCodec, Request, Response, RestartPolicy, Scheduler, Supervisor};
+use rossl::{ClientConfig, Driver, FirstByteCodec, RestartPolicy, Scheduler, Script, Supervisor};
 use rossl_journal::{recover, JournalError, JournalWriter, KIND_EVENT};
-use rossl_model::{Curve, Duration, Instant, MsgData, Priority, Task, TaskId, TaskSet};
+use rossl_model::{Curve, Duration, Instant, Priority, Task, TaskId, TaskSet};
 use rossl_trace::{check_stitched, Marker, SeamViolation, StitchedError, StitchedTrace};
 use rossl_verify::CrashSweep;
 
@@ -41,37 +41,24 @@ fn two_task_config(sockets: usize) -> ClientConfig {
     ClientConfig::new(tasks, sockets).unwrap()
 }
 
-/// Drives `sched` for at most `steps` markers, recording each in the
-/// journal. `commit_each` mimics either the write-ahead discipline
-/// (true) or a buggy lazy-commit journal (false).
+/// Drives for at most `max_steps` markers against `script`, recording
+/// each in the journal. `commit_each` mimics either the write-ahead
+/// discipline (true) or a buggy lazy-commit journal (false).
 fn drive(
-    sched: &mut Scheduler<FirstByteCodec>,
-    reads: &mut Vec<Option<MsgData>>,
-    steps: usize,
+    driver: &mut Driver<FirstByteCodec>,
+    mut script: Script,
+    max_steps: usize,
     journal: &mut JournalWriter,
-    clock: &mut u64,
     commit_each: bool,
 ) -> Vec<Marker> {
-    let mut trace = Vec::new();
-    let mut response = None;
-    for _ in 0..steps {
-        let step = sched.advance(response.take()).expect("drive ok");
-        *clock += 1;
-        journal.append(&step.marker, Instant(*clock));
+    let steps = script.run(driver, max_steps).expect("drive ok");
+    for step in &steps {
+        journal.append(&step.marker, step.end);
         if commit_each {
             journal.commit();
         }
-        trace.push(step.marker);
-        match step.request {
-            Some(Request::Read(_)) => match reads.pop() {
-                Some(r) => response = Some(Response::ReadResult(r)),
-                None => break,
-            },
-            Some(Request::Execute(_)) => response = Some(Response::Executed),
-            None => {}
-        }
     }
-    trace
+    steps.into_iter().map(|t| t.marker).collect()
 }
 
 #[test]
@@ -96,22 +83,61 @@ fn exhaustive_crash_sweep_two_sockets_has_no_violations() {
     assert!(outcome.stitched_checked > 0);
 }
 
+/// Both E17 fixtures sweep clean at every depth under even and odd
+/// recovery budgets. An odd budget can end a recovery leaf on the
+/// `ReadStart` of a delivered branch; the sweep counts the message as
+/// consumed only once the `ReadEnd` that receives it has been emitted.
+/// The totals of the even-budget sweeps are pinned by an FNV-1a digest.
+#[test]
+fn crash_sweep_is_clean_at_every_depth_and_budget() {
+    let fixtures = [
+        (1, vec![vec![vec![0], vec![1]]]),
+        (2, vec![vec![vec![0]], vec![vec![1]]]),
+    ];
+    let mut pinned = String::new();
+    for (sockets, pending) in &fixtures {
+        for depth in 2..=18 {
+            for budget in [depth, 6, 7] {
+                let outcome = CrashSweep::new(two_task_config(*sockets), pending.clone(), depth)
+                    .with_recovery_budget(budget)
+                    .sweep()
+                    .unwrap_or_else(|f| {
+                        panic!("{sockets} socket(s), depth {depth}, budget {budget}: {f}")
+                    });
+                if budget % 2 == 0 {
+                    pinned += &format!(
+                        "{sockets} {depth} {budget} {} {} {} {}\n",
+                        outcome.steps,
+                        outcome.recoveries,
+                        outcome.stitched_checked,
+                        outcome.redispatched
+                    );
+                }
+            }
+        }
+    }
+    let digest = pinned.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!(digest, 0x634a_5467_ecc1_e7d0, "even-budget sweep totals changed:\n{pinned}");
+}
+
 #[test]
 fn lazy_commit_journal_loses_an_accepted_job_and_the_checker_notices() {
     // The scheduler accepts a message (the transport consumed it), but
     // the journal never commits — so the crash erases all record of the
     // acceptance. Recovery restarts from scratch; the job is gone.
-    let mut reads = vec![Some(vec![0])];
     let mut journal = JournalWriter::new();
-    let mut clock = 0;
-    let mut sched = Scheduler::new(two_task_config(1), FirstByteCodec);
+    let sched = Scheduler::new(two_task_config(1), FirstByteCodec);
+    let mut driver = Driver::new(sched, Instant::ZERO);
     // 2 markers: ReadStart, ReadEnd j0 — appended but never committed.
-    let _lost = drive(&mut sched, &mut reads, 2, &mut journal, &mut clock, false);
-    drop(sched); // the crash
+    let _lost = drive(&mut driver, Script::new([Some(vec![0])]), 2, &mut journal, false);
+    let clock = driver.now();
+    drop(driver); // the crash
 
     let bytes = journal.into_bytes();
     let mut sup = Supervisor::new(RestartPolicy::default());
-    let (mut sched, state, _corruption) = sup
+    let (sched, state, _corruption) = sup
         .restart(&bytes, two_task_config(1), FirstByteCodec)
         .expect("journal itself is well formed");
     assert!(
@@ -120,9 +146,9 @@ fn lazy_commit_journal_loses_an_accepted_job_and_the_checker_notices() {
     );
 
     // Post-crash segment: nothing left to read, the scheduler idles.
-    let mut reads = vec![None];
     let mut journal2 = JournalWriter::new();
-    let seg1 = drive(&mut sched, &mut reads, 4, &mut journal2, &mut clock, true);
+    let mut driver = Driver::new(sched, clock);
+    let seg1 = drive(&mut driver, Script::new([None]), 4, &mut journal2, true);
     assert!(seg1.contains(&Marker::Idling));
 
     // Stitched trace as the journal tells it: an empty-but-for-nothing
@@ -148,11 +174,10 @@ fn lazy_commit_journal_loses_an_accepted_job_and_the_checker_notices() {
 #[test]
 fn journal_corruption_is_typed_and_never_panics() {
     // Build a real journal from a real run.
-    let mut reads = vec![None, None, Some(vec![1])];
     let mut journal = JournalWriter::new();
-    let mut clock = 0;
-    let mut sched = Scheduler::new(two_task_config(1), FirstByteCodec);
-    drive(&mut sched, &mut reads, 9, &mut journal, &mut clock, true);
+    let sched = Scheduler::new(two_task_config(1), FirstByteCodec);
+    let script = Script::new([Some(vec![1]), None, None]);
+    drive(&mut Driver::new(sched, Instant::ZERO), script, 9, &mut journal, true);
     let clean = journal.into_bytes();
     let full = recover(&clean).expect("clean journal recovers");
     assert!(full.corruption.is_none());

@@ -2,17 +2,19 @@
 //! paper proves once and for all, checked here over randomized scheduler
 //! runs, workloads and cost behaviours.
 
+use std::collections::{BTreeSet, VecDeque};
+
 use proptest::prelude::*;
 
 use refined_prosa::{RosslSystem, RunTelemetry, SystemBuilder};
 use rossl::{
-    ClientConfig, DegradedEvent, FirstByteCodec, ModePolicy, Request, Response, RestartPolicy,
-    Scheduler, Supervisor, WatchdogConfig,
+    ClientConfig, DegradedEvent, DriveError, Driver, Environment, FirstByteCodec, ModePolicy,
+    Response, RestartPolicy, Scheduler, Served, Supervisor, Timed, WatchdogConfig,
 };
 use rossl_faults::{FaultClass, FaultPlan};
 use rossl_journal::{JournalWriter, KIND_EVENT};
 use rossl_model::{
-    Criticality, Curve, Duration, Instant, Mode, Priority, Task, TaskId, TaskSet,
+    Criticality, Curve, Duration, Instant, Job, Mode, Priority, SocketId, Task, TaskId, TaskSet,
 };
 use rossl_obs::{Registry, SchedSink, SchedulerMetrics};
 use rossl_schedule::{convert, StateKind};
@@ -346,6 +348,69 @@ proptest! {
     }
 }
 
+/// The mode-switch property's environment: reads pop a FIFO of
+/// payloads, and each HI-task execution overruns to `C_HI` when the
+/// next coin says so.
+struct Overruns<'a> {
+    fifo: VecDeque<Vec<u8>>,
+    coins: std::vec::IntoIter<bool>,
+    tasks: &'a TaskSet,
+}
+
+impl Environment for Overruns<'_> {
+    type Error = DriveError;
+
+    fn read(&mut self, _: SocketId, now: Instant) -> Served<DriveError> {
+        Ok((self.fifo.pop_front(), now))
+    }
+
+    fn execute(&mut self, job: &Job, _: Duration) -> Response {
+        let t = self.tasks.task(job.task()).expect("known task");
+        if t.criticality() == Criticality::Hi && self.coins.next().unwrap_or(false) {
+            Response::ExecutedIn(t.wcet_hi())
+        } else {
+            Response::Executed
+        }
+    }
+}
+
+/// The job ids the mode-switch property accounts for across a run.
+#[derive(Default)]
+struct Ledger {
+    accepted: BTreeSet<u64>,
+    completed: BTreeSet<u64>,
+    shed: BTreeSet<u64>,
+}
+
+impl Ledger {
+    /// Steps `driver` once, recording accepted, completed and shed jobs.
+    /// Also reports whether the run has quiesced: idling back in LO mode
+    /// with nothing left to read or resume.
+    fn step(&mut self, driver: &mut Driver<FirstByteCodec>, env: &mut Overruns) -> (Timed, bool) {
+        let step = driver.step(env).expect("honest drive never sticks");
+        match &step.marker {
+            Marker::ReadEnd { job: Some(j), .. } => {
+                self.accepted.insert(j.id().0);
+            }
+            Marker::Completion(j) => {
+                self.completed.insert(j.id().0);
+            }
+            _ => {}
+        }
+        for ev in driver.scheduler_mut().take_degradation_events() {
+            if let DegradedEvent::JobShed { job, .. } = ev {
+                self.shed.insert(job.0);
+            }
+        }
+        let sched = driver.scheduler();
+        let quiesced = step.marker == Marker::Idling
+            && env.fifo.is_empty()
+            && sched.suspended_count() == 0
+            && sched.mode() == Mode::Lo;
+        (step, quiesced)
+    }
+}
+
 /// Every mode policy the scheduler accepts, with small hysteresis so
 /// runs quiesce quickly.
 fn arb_mode_policy() -> impl Strategy<Value = ModePolicy> {
@@ -387,66 +452,35 @@ proptest! {
         ])
         .expect("valid mixed set");
         let config = std::sync::Arc::new(ClientConfig::new(tasks.clone(), 1).expect("config"));
-        let mut sched = Scheduler::with_shared_config(std::sync::Arc::clone(&config), FirstByteCodec)
+        let sched = Scheduler::with_shared_config(std::sync::Arc::clone(&config), FirstByteCodec)
             .with_mode_policy(policy);
-
-        let mut fifo: std::collections::VecDeque<Vec<u8>> =
-            msgs.iter().map(|&b| vec![b]).collect();
-        let mut overruns = overruns.into_iter();
-        let mut accepted = std::collections::BTreeSet::new();
-        let mut completed = std::collections::BTreeSet::new();
-        let mut shed = std::collections::BTreeSet::new();
+        let mut driver = Driver::new(sched, Instant::ZERO);
+        let mut env = Overruns {
+            fifo: msgs.iter().map(|&b| vec![b]).collect(),
+            coins: overruns.into_iter(),
+            tasks: &tasks,
+        };
+        let mut ledger = Ledger::default();
         // Write-ahead journal with commit-per-record discipline, exactly
         // like the fuzzer's raw drive: a crash loses only the torn tail.
         let mut journal = JournalWriter::new();
-        let mut response: Option<Response> = None;
         let mut steps = 0u64;
         let mut crashed = false;
         let mut quiesced = false;
         const CAP: u64 = 4_096;
 
         loop {
-            let step = sched.advance(response.take()).expect("honest drive never sticks");
+            let (step, done) = ledger.step(&mut driver, &mut env);
             steps += 1;
-            journal.append(&step.marker, Instant(steps));
+            journal.append(&step.marker, step.end);
             journal.commit();
-            match &step.marker {
-                Marker::ReadEnd { job: Some(j), .. } => { accepted.insert(j.id().0); }
-                Marker::Completion(j) => { completed.insert(j.id().0); }
-                _ => {}
-            }
-            for ev in sched.take_degradation_events() {
-                if let DegradedEvent::JobShed { job, .. } = ev {
-                    shed.insert(job.0);
-                }
-            }
-            // Crash after the marker is committed, before the request is
-            // served — the CrashSweep fork point.
+            // Crash after the marker is committed: the driver takes no
+            // further step — the CrashSweep fork point.
             if crash_at.is_some_and(|k| steps as usize >= k) {
                 crashed = true;
                 break;
             }
-            match step.request {
-                Some(Request::Read(_)) => {
-                    response = Some(Response::ReadResult(fifo.pop_front()));
-                }
-                Some(Request::Execute(job)) => {
-                    let t = tasks.task(job.task()).expect("known task");
-                    let over = t.criticality() == Criticality::Hi
-                        && overruns.next().unwrap_or(false);
-                    response = Some(if over {
-                        Response::ExecutedIn(t.wcet_hi())
-                    } else {
-                        Response::Executed
-                    });
-                }
-                None => {}
-            }
-            if matches!(step.marker, Marker::Idling)
-                && fifo.is_empty()
-                && sched.suspended_count() == 0
-                && sched.mode() == Mode::Lo
-            {
+            if done {
                 quiesced = true;
                 break;
             }
@@ -464,52 +498,19 @@ proptest! {
             // Crash-seam accounting: every accepted job is already
             // completed, was shed, or is re-pended by recovery (the
             // voided in-flight dispatch included).
-            let pending: std::collections::BTreeSet<u64> =
-                state.pending.iter().map(|j| j.id().0).collect();
-            for id in &accepted {
-                prop_assert!(
-                    completed.contains(id) || shed.contains(id) || pending.contains(id),
-                    "job {id} lost at the crash seam"
-                );
+            let pending: BTreeSet<u64> = state.pending.iter().map(|j| j.id().0).collect();
+            for id in &ledger.accepted {
+                let kept = ledger.completed.contains(id) || ledger.shed.contains(id);
+                prop_assert!(kept || pending.contains(id), "job {id} lost at the crash seam");
             }
             // The policy is configuration; recovery resumes the last
             // committed mode and the drive continues to quiescence.
-            sched = sched2.with_mode_policy(policy).resume_in_mode(state.mode);
-            response = None;
+            let sched = sched2.with_mode_policy(policy).resume_in_mode(state.mode);
+            driver = Driver::new(sched, driver.now());
             loop {
-                let step = sched.advance(response.take()).expect("post-crash drive never sticks");
+                let (_, done) = ledger.step(&mut driver, &mut env);
                 steps += 1;
-                match &step.marker {
-                    Marker::ReadEnd { job: Some(j), .. } => { accepted.insert(j.id().0); }
-                    Marker::Completion(j) => { completed.insert(j.id().0); }
-                    _ => {}
-                }
-                for ev in sched.take_degradation_events() {
-                    if let DegradedEvent::JobShed { job, .. } = ev {
-                        shed.insert(job.0);
-                    }
-                }
-                match step.request {
-                    Some(Request::Read(_)) => {
-                        response = Some(Response::ReadResult(fifo.pop_front()));
-                    }
-                    Some(Request::Execute(job)) => {
-                        let t = tasks.task(job.task()).expect("known task");
-                        let over = t.criticality() == Criticality::Hi
-                            && overruns.next().unwrap_or(false);
-                        response = Some(if over {
-                            Response::ExecutedIn(t.wcet_hi())
-                        } else {
-                            Response::Executed
-                        });
-                    }
-                    None => {}
-                }
-                if matches!(step.marker, Marker::Idling)
-                    && fifo.is_empty()
-                    && sched.suspended_count() == 0
-                    && sched.mode() == Mode::Lo
-                {
+                if done {
                     quiesced = true;
                     break;
                 }
@@ -522,10 +523,10 @@ proptest! {
         // been completed or explicitly degraded. A re-executed job
         // (crash voided its uncommitted completion) counts once.
         prop_assert!(quiesced, "drive ended without quiescing");
-        prop_assert_eq!(sched.pending_count(), 0, "quiesced with jobs still queued");
-        for id in &accepted {
+        prop_assert_eq!(driver.scheduler().pending_count(), 0, "quiesced with jobs still queued");
+        for id in &ledger.accepted {
             prop_assert!(
-                completed.contains(id) || shed.contains(id),
+                ledger.completed.contains(id) || ledger.shed.contains(id),
                 "accepted job {id} neither completed nor explicitly degraded"
             );
         }
