@@ -111,11 +111,10 @@ fn wcet_fault_slow_action_is_caught() {
     }
     let mutated = with_trace(&run, TimedTrace::new(markers, timestamps).unwrap());
     let err = verifier(&s).verify(&arrivals, &mutated).unwrap_err();
+    // The delayed suffix may also break consistency, but WCET compliance
+    // is the earlier hypothesis.
     assert!(
-        matches!(
-            err,
-            VerificationError::Wcet(_) | VerificationError::Consistency(_)
-        ),
+        matches!(err, VerificationError::Wcet(_)),
         "unexpected error class: {err}"
     );
 }
@@ -289,6 +288,178 @@ fn wrong_priority_dispatch_is_caught() {
         verifier(&s).verify(&arrivals, &run),
         Err(VerificationError::Functional(_))
     ));
+}
+
+// ---------------------------------------------------------------------------
+// Hypothesis order: when a run breaks several hypotheses, `verify` reports
+// the first one in the order of Thm. 5.1 (curves, protocol, functional,
+// WCET, consistency, conversion, validity), wherever in the trace each
+// violation lies.
+// ---------------------------------------------------------------------------
+
+/// Delays every marker after `index` by far more than any WCET: the
+/// action spanning `index → index + 1` overruns.
+fn delay_after(trace: &TimedTrace, index: usize) -> TimedTrace {
+    let mut timestamps = trace.timestamps().to_vec();
+    for t in &mut timestamps[index + 1..] {
+        *t = t.saturating_add(Duration(10_000));
+    }
+    TimedTrace::new(trace.markers().to_vec(), timestamps).unwrap()
+}
+
+/// The start index of the first WCET overrun `trace` exhibits.
+fn overrun_start(s: &refined_prosa::RosslSystem, trace: &TimedTrace) -> usize {
+    match rossl_timing::check_wcet_compliance(trace, s.tasks(), s.wcet(), s.n_sockets()) {
+        Err(rossl_timing::WcetViolation::ActionOverrun { span, .. }) => span.start,
+        other => panic!("expected an overrun, got {other:?}"),
+    }
+}
+
+/// The clean run with an overrun at marker 10 and, far later, its last
+/// decision's `M_Selection` dropped.
+fn early_overrun_late_protocol_break(
+    s: &refined_prosa::RosslSystem,
+    run: &SimulationResult,
+) -> (TimedTrace, usize) {
+    let delayed = delay_after(&run.trace, 10);
+    assert!(overrun_start(s, &delayed) <= 10);
+    let mut markers = delayed.markers().to_vec();
+    let mut timestamps = delayed.timestamps().to_vec();
+    let dropped = markers[..markers.len() - 1]
+        .iter()
+        .rposition(|m| matches!(m, Marker::Selection))
+        .expect("run has a decision");
+    assert!(dropped > markers.len() / 2, "the protocol break must be late");
+    markers.remove(dropped);
+    timestamps.remove(dropped);
+    (TimedTrace::new(markers, timestamps).unwrap(), dropped)
+}
+
+#[test]
+fn protocol_beats_an_earlier_wcet_overrun() {
+    let s = system();
+    let (arrivals, run) = clean_run(&s);
+    let (trace, dropped) = early_overrun_late_protocol_break(&s, &run);
+    match verifier(&s).verify(&arrivals, &with_trace(&run, trace)) {
+        Err(VerificationError::Protocol(e)) => assert_eq!(e.index, dropped),
+        other => panic!("expected a protocol violation, got {other:?}"),
+    }
+}
+
+#[test]
+fn standalone_wcet_check_reports_a_later_protocol_break_first() {
+    let s = system();
+    let (_, run) = clean_run(&s);
+    let (trace, dropped) = early_overrun_late_protocol_break(&s, &run);
+    match rossl_timing::check_wcet_compliance(&trace, s.tasks(), s.wcet(), s.n_sockets()) {
+        Err(rossl_timing::WcetViolation::Protocol(e)) => assert_eq!(e.index, dropped),
+        other => panic!("expected a protocol violation, got {other:?}"),
+    }
+}
+
+#[test]
+fn wcet_beats_an_earlier_dishonest_failed_read() {
+    let s = system();
+    let (arrivals, run) = clean_run(&s);
+    // An extra `low` arrival (sporadic(1500)) that the unchanged trace
+    // never reads, placed where the curve still holds: the next failed
+    // read of socket 0 becomes dishonest.
+    let (arrivals, dishonest) = (1..245u64)
+        .find_map(|k| {
+            let mut events = arrivals.events().to_vec();
+            events.push(rossl_sockets::ArrivalEvent {
+                time: Instant(100 * k),
+                sock: rossl_model::SocketId(0),
+                task: TaskId(0),
+                msg: rossl_model::Message::new(vec![0]),
+            });
+            let extended = ArrivalSequence::from_events(events);
+            extended.check_respects_curves(s.tasks()).ok()?;
+            match rossl_timing::check_consistency(&run.trace, &extended) {
+                Err(rossl_timing::ConsistencyError::DishonestFailedRead { index, .. }) => {
+                    Some((extended, index))
+                }
+                _ => None,
+            }
+        })
+        .expect("some idle instant admits an extra arrival");
+    let late = run.trace.len() - 20;
+    assert!(dishonest < late, "the dishonest read must come first");
+    let trace = delay_after(&run.trace, late);
+    assert!(overrun_start(&s, &trace) > dishonest);
+    let err = verifier(&s)
+        .verify(&arrivals, &with_trace(&run, trace))
+        .unwrap_err();
+    assert!(
+        matches!(err, VerificationError::Wcet(_)),
+        "unexpected error class: {err}"
+    );
+}
+
+#[test]
+fn functional_beats_an_earlier_wcet_overrun() {
+    // The wrong-priority trace of `wrong_priority_dispatch_is_caught`,
+    // with its first read stretched past WcetSR.
+    let s = system();
+    let low = Job::new(JobId(0), TaskId(0), vec![0]);
+    let high = Job::new(JobId(1), TaskId(1), vec![1]);
+    let markers = vec![
+        Marker::ReadStart,
+        Marker::ReadEnd {
+            sock: rossl_model::SocketId(0),
+            job: Some(low.clone()),
+        },
+        Marker::ReadStart,
+        Marker::ReadEnd {
+            sock: rossl_model::SocketId(0),
+            job: Some(high),
+        },
+        Marker::ReadStart,
+        Marker::ReadEnd {
+            sock: rossl_model::SocketId(0),
+            job: None,
+        },
+        Marker::Selection,
+        Marker::Dispatch(low.clone()),
+        Marker::Execution(low.clone()),
+        Marker::Completion(low),
+    ];
+    let timestamps = (0..markers.len() as u64)
+        .map(|k| Instant(2 + 3 * k + if k >= 2 { 50 } else { 0 }))
+        .collect();
+    let trace = TimedTrace::new(markers, timestamps).unwrap();
+    assert_eq!(overrun_start(&s, &trace), 0);
+    let arrivals = ArrivalSequence::from_events(vec![
+        rossl_sockets::ArrivalEvent {
+            time: Instant(1),
+            sock: rossl_model::SocketId(0),
+            task: TaskId(0),
+            msg: rossl_model::Message::new(vec![0]),
+        },
+        rossl_sockets::ArrivalEvent {
+            time: Instant(2),
+            sock: rossl_model::SocketId(0),
+            task: TaskId(1),
+            msg: rossl_model::Message::new(vec![1]),
+        },
+    ]);
+    let run = SimulationResult {
+        trace,
+        jobs: Default::default(),
+        horizon: Instant(200),
+        degradation: Vec::new(),
+    };
+    match verifier(&s).verify(&arrivals, &run) {
+        Err(VerificationError::Functional(e)) => assert_eq!(
+            e,
+            rossl_trace::FunctionalError::DispatchNotHighestPriority {
+                index: 7,
+                dispatched: JobId(0),
+                better: JobId(1),
+            }
+        ),
+        other => panic!("expected a functional violation, got {other:?}"),
+    }
 }
 
 // ---------------------------------------------------------------------------
