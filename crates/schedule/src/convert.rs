@@ -14,10 +14,11 @@
 //!   the failed selection and the idling action that follow — map to
 //!   `Idle`.
 //!
-//! The parser works on the basic-action spans produced by the protocol
-//! automaton, so the look-ahead is already resolved: a `Selection` action
-//! carries the selected job (or `⊥`), which is exactly the information the
-//! failed-read attribution needs.
+//! The parser works on the basic actions closed by the protocol cursor, so
+//! the look-ahead is already resolved: a `Selection` action carries the
+//! selected job (or `⊥`), which is exactly the information the failed-read
+//! attribution needs. [`Converter`] is the parser one closed action at a
+//! time; [`convert`] is the cursor feeding it.
 //!
 //! The unattributed tail of a truncated trace (e.g. trailing failed reads
 //! whose polling phase never concludes before the horizon) is *not*
@@ -28,9 +29,9 @@ use std::fmt;
 
 use rossl_model::Instant;
 use rossl_timing::TimedTrace;
-use rossl_trace::{BasicAction, ProtocolAutomaton, ProtocolError};
+use rossl_trace::{ActionRef, ProtocolAutomaton, ProtocolError};
 
-use crate::schedule::{Schedule, Segment};
+use crate::schedule::{Merger, Schedule, Segment};
 use crate::state::{JobRef, ProcessorState};
 
 /// Conversion failure.
@@ -105,72 +106,107 @@ impl From<ProtocolError> for ConversionError {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn convert(trace: &TimedTrace, n_sockets: usize) -> Result<Schedule, ConversionError> {
-    let run = ProtocolAutomaton::new(n_sockets).accept(trace.markers())?;
+    let mut cursor = ProtocolAutomaton::new(n_sockets).cursor();
+    let mut converter = Converter::default();
     let mut segments: Vec<Segment> = Vec::new();
-    // Start instant of the current run of not-yet-attributed failed reads.
-    let mut fail_run_start: Option<Instant> = None;
-
-    let push = |segments: &mut Vec<Segment>, start: Instant, end: Instant, state| {
-        if end > start {
-            segments.push(Segment { start, end, state });
-        }
-    };
-
-    for span in run.complete_actions() {
-        let start = trace.timestamp(span.start);
-        let end = trace.timestamp(span.end.expect("complete span"));
-        match &span.action {
-            BasicAction::Read { job: None, .. } => {
-                fail_run_start.get_or_insert(start);
-            }
-            BasicAction::Read { job: Some(j), .. } => {
-                let from = fail_run_start.take().unwrap_or(start);
-                push(
-                    &mut segments,
-                    from,
-                    end,
-                    ProcessorState::ReadOvh(JobRef::from(j)),
-                );
-            }
-            BasicAction::Selection(Some(j)) => {
-                let jr = JobRef::from(j);
-                if let Some(from) = fail_run_start.take() {
-                    push(&mut segments, from, start, ProcessorState::PollingOvh(jr));
-                }
-                push(&mut segments, start, end, ProcessorState::SelectionOvh(jr));
-            }
-            BasicAction::Selection(None) => {
-                let from = fail_run_start.take().unwrap_or(start);
-                push(&mut segments, from, end, ProcessorState::Idle);
-            }
-            BasicAction::Dispatch(j) => push(
-                &mut segments,
-                start,
-                end,
-                ProcessorState::DispatchOvh(JobRef::from(j)),
-            ),
-            BasicAction::Execution(j) => push(
-                &mut segments,
-                start,
-                end,
-                ProcessorState::Executes(JobRef::from(j)),
-            ),
-            BasicAction::Completion(j) => push(
-                &mut segments,
-                start,
-                end,
-                ProcessorState::CompletionOvh(JobRef::from(j)),
-            ),
-            BasicAction::Idling => push(&mut segments, start, end, ProcessorState::Idle),
-            // Mode-switch bookkeeping is not supply for any job: it maps
-            // to Idle, exactly like a bounded idle iteration.
-            BasicAction::ModeSwitch { .. } => {
-                push(&mut segments, start, end, ProcessorState::Idle)
+    let mut assembly = Ok(());
+    for (index, marker) in trace.markers().iter().enumerate() {
+        let Some((action, start)) = cursor.push(index, marker)? else {
+            continue;
+        };
+        if assembly.is_ok() {
+            let (from, to) = (trace.timestamp(start), trace.timestamp(index));
+            match converter.push(action, from, to) {
+                Ok(done) => segments.extend(done.into_iter().flatten()),
+                Err(e) => assembly = Err(e),
             }
         }
     }
+    assembly?;
+    segments.extend(converter.finish());
+    Ok(Schedule::from_merged(segments))
+}
 
-    Schedule::from_segments(segments).map_err(ConversionError::Assembly)
+/// The conversion of §2.4, fed one closed basic action at a time and
+/// emitting the schedule's merged segments as they become final.
+/// `Converter::default()` is a converter before the first action.
+#[derive(Debug, Clone, Default)]
+pub struct Converter {
+    /// Start instant of the current run of not-yet-attributed failed
+    /// reads.
+    fail_run_start: Option<Instant>,
+    merger: Merger,
+}
+
+impl Converter {
+    /// Feeds `action`, which occupied `[start, end)`. Returns the merged
+    /// segments this completes, in time order (at most two).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConversionError::Assembly`] if the segments stop being
+    /// contiguous, which a protocol-accepted trace with increasing
+    /// timestamps never causes.
+    #[inline]
+    pub fn push(
+        &mut self,
+        action: ActionRef<'_>,
+        start: Instant,
+        end: Instant,
+    ) -> Result<[Option<Segment>; 2], ConversionError> {
+        // The run of failed reads, when this action attributes it
+        // separately, and the start and state of the action's own segment.
+        let mut polling = None;
+        let own = match action {
+            ActionRef::Read { job: None, .. } => {
+                self.fail_run_start.get_or_insert(start);
+                None
+            }
+            ActionRef::Read { job: Some(j), .. } => {
+                let from = self.fail_run_start.take().unwrap_or(start);
+                Some((from, ProcessorState::ReadOvh(JobRef::from(j))))
+            }
+            ActionRef::Selection(Some(j)) => {
+                let jr = JobRef::from(j);
+                polling = self.fail_run_start.take().map(|from| Segment {
+                    start: from,
+                    end: start,
+                    state: ProcessorState::PollingOvh(jr),
+                });
+                Some((start, ProcessorState::SelectionOvh(jr)))
+            }
+            ActionRef::Selection(None) => {
+                let from = self.fail_run_start.take().unwrap_or(start);
+                Some((from, ProcessorState::Idle))
+            }
+            ActionRef::Dispatch(j) => Some((start, ProcessorState::DispatchOvh(JobRef::from(j)))),
+            ActionRef::Execution(j) => Some((start, ProcessorState::Executes(JobRef::from(j)))),
+            ActionRef::Completion(j) => {
+                Some((start, ProcessorState::CompletionOvh(JobRef::from(j))))
+            }
+            // Mode-switch bookkeeping is not supply for any job: it maps
+            // to Idle, exactly like a bounded idle iteration.
+            ActionRef::Idling | ActionRef::ModeSwitch { .. } => Some((start, ProcessorState::Idle)),
+        };
+        let own = own.map(|(from, state)| Segment {
+            start: from,
+            end,
+            state,
+        });
+        let mut done = [None, None];
+        let segments = [polling, own].into_iter().flatten();
+        for (seg, slot) in segments.filter(|s| s.end > s.start).zip(&mut done) {
+            *slot = self.merger.push(seg).map_err(ConversionError::Assembly)?;
+        }
+        Ok(done)
+    }
+
+    /// Ends the conversion: the last merged segment. The unattributed
+    /// failed reads of a polling phase still in progress are not
+    /// converted.
+    pub fn finish(self) -> Option<Segment> {
+        self.merger.finish()
+    }
 }
 
 #[cfg(test)]

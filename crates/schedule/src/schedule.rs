@@ -41,6 +41,45 @@ impl fmt::Display for Segment {
     }
 }
 
+/// The merge and contiguity rule of [`Schedule::from_segments`], applied
+/// one segment at a time: adjacent segments with equal states merge into
+/// one discrete instance.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Merger {
+    current: Option<Segment>,
+}
+
+impl Merger {
+    /// Appends `seg`. Returns the previous merged segment once `seg`
+    /// starts a new one.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the defect if `seg` is empty-length or
+    /// does not start where the previous segment ended.
+    pub(crate) fn push(&mut self, seg: Segment) -> Result<Option<Segment>, String> {
+        if seg.end <= seg.start {
+            return Err(format!("segment {seg} has non-positive length"));
+        }
+        match &mut self.current {
+            Some(prev) if prev.end != seg.start => Err(format!(
+                "segments are not contiguous: {} then {}",
+                prev, seg
+            )),
+            Some(prev) if prev.state == seg.state => {
+                prev.end = seg.end;
+                Ok(None)
+            }
+            _ => Ok(self.current.replace(seg)),
+        }
+    }
+
+    /// The last merged segment.
+    pub(crate) fn finish(self) -> Option<Segment> {
+        self.current
+    }
+}
+
 /// A schedule of processor states: the paper's
 /// `sched : 𝕋 → ProcessorState` over the converted portion of a run,
 /// represented as contiguous [`Segment`]s with adjacent equal states
@@ -74,22 +113,17 @@ impl Schedule {
     /// out of order, or non-contiguous.
     pub fn from_segments(segments: Vec<Segment>) -> Result<Schedule, String> {
         let mut merged: Vec<Segment> = Vec::with_capacity(segments.len());
+        let mut merger = Merger::default();
         for seg in segments {
-            if seg.end <= seg.start {
-                return Err(format!("segment {seg} has non-positive length"));
-            }
-            match merged.last_mut() {
-                Some(prev) if prev.end != seg.start => {
-                    return Err(format!(
-                        "segments are not contiguous: {} then {}",
-                        prev, seg
-                    ));
-                }
-                Some(prev) if prev.state == seg.state => prev.end = seg.end,
-                _ => merged.push(seg),
-            }
+            merged.extend(merger.push(seg)?);
         }
+        merged.extend(merger.finish());
         Ok(Schedule { segments: merged })
+    }
+
+    /// A schedule of segments already merged by a [`Merger`].
+    pub(crate) fn from_merged(segments: Vec<Segment>) -> Schedule {
+        Schedule { segments }
     }
 
     /// The merged segments, in time order. Adjacent segments always have

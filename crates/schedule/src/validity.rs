@@ -120,11 +120,45 @@ pub fn check_validity(
     tasks: &TaskSet,
     bounds: &OverheadBounds,
 ) -> Result<(), ValidityError> {
-    let mut last_rank: BTreeMap<JobId, u8> = BTreeMap::new();
+    let mut check = ValidityCheck::new(tasks, bounds);
+    schedule
+        .segments()
+        .iter()
+        .try_for_each(|segment| check.push(segment))
+}
 
-    for segment in schedule.segments() {
+/// The validity constraints checked one merged segment at a time:
+/// [`check_validity`] is a loop over [`ValidityCheck::push`].
+#[derive(Debug, Clone)]
+pub struct ValidityCheck<'t> {
+    tasks: &'t TaskSet,
+    bounds: OverheadBounds,
+    /// Per job, the lifecycle rank of the last state it was in.
+    last_rank: BTreeMap<JobId, u8>,
+}
+
+impl<'t> ValidityCheck<'t> {
+    /// A check of an empty schedule prefix.
+    pub fn new(tasks: &'t TaskSet, bounds: &OverheadBounds) -> ValidityCheck<'t> {
+        ValidityCheck {
+            tasks,
+            bounds: *bounds,
+            last_rank: BTreeMap::new(),
+        }
+    }
+
+    /// Extends the checked prefix by `segment`, the next merged segment
+    /// (one discrete instance of its state).
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ValidityError`] if the segment violates a constraint.
+    /// A check that returned an error has stopped tracking the schedule;
+    /// do not push further segments.
+    pub fn push(&mut self, segment: &Segment) -> Result<(), ValidityError> {
         // (a) per-instance duration bounds. Adjacent equal states are merged
         // by construction, so each segment is one discrete instance.
+        let bounds = &self.bounds;
         let bound = match segment.state {
             ProcessorState::Idle => None,
             ProcessorState::ReadOvh(_) => Some(bounds.read),
@@ -133,7 +167,7 @@ pub fn check_validity(
             ProcessorState::DispatchOvh(_) => Some(bounds.dispatch),
             ProcessorState::CompletionOvh(_) => Some(bounds.completion),
             ProcessorState::Executes(j) => Some(
-                tasks
+                self.tasks
                     .task(j.task)
                     .ok_or(ValidityError::UnknownTask { task: j.task })?
                     .wcet(),
@@ -151,7 +185,7 @@ pub fn check_validity(
         // (d)/(e) per-job lifecycle: each kind at most once, in order.
         if let Some(job) = segment.state.job() {
             let rank = lifecycle_rank(segment.state.kind());
-            match last_rank.get(&job.id) {
+            match self.last_rank.get(&job.id) {
                 Some(&prev) if prev == rank => {
                     return Err(ValidityError::DuplicateState {
                         job: job.id,
@@ -165,12 +199,12 @@ pub fn check_validity(
                     })
                 }
                 _ => {
-                    last_rank.insert(job.id, rank);
+                    self.last_rank.insert(job.id, rank);
                 }
             }
         }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]

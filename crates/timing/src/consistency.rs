@@ -12,11 +12,14 @@
 //! deliver in FIFO arrival order, so the `k`-th successful read on a socket
 //! corresponds to the `k`-th arrival event on that socket. The payloads
 //! must agree, which the checker also verifies.
+//!
+//! [`ConsistencyCheck`] is the same check one marker at a time; for each
+//! successful read it reports the arrival the read consumed.
 
 use std::fmt;
 
 use rossl_model::{Instant, JobId, SocketId};
-use rossl_sockets::ArrivalSequence;
+use rossl_sockets::{ArrivalEvent, ArrivalSequence};
 use rossl_trace::Marker;
 
 use crate::timed_trace::TimedTrace;
@@ -131,73 +134,107 @@ pub fn check_consistency(
     trace: &TimedTrace,
     arrivals: &ArrivalSequence,
 ) -> Result<(), ConsistencyError> {
-    let n_socks = arrivals
-        .min_socket_count()
-        .max(
-            trace
-                .markers()
-                .iter()
-                .filter_map(|m| match m {
-                    Marker::ReadEnd { sock, .. } => Some(sock.0 + 1),
-                    _ => None,
-                })
-                .max()
-                .unwrap_or(0),
-        );
-
-    // Per-socket arrival queues in FIFO order.
-    let mut queues: Vec<Vec<(Instant, &[u8])>> = vec![Vec::new(); n_socks];
-    for e in arrivals.events() {
-        queues[e.sock.0].push((e.time, e.msg.data()));
-    }
-    // Per-socket cursor: how many arrivals have been consumed by reads.
-    let mut consumed = vec![0usize; n_socks];
-
+    let mut check = ConsistencyCheck::new(arrivals);
     for (index, (marker, ts)) in trace.iter().enumerate() {
-        match marker {
-            Marker::ReadEnd { sock, job: Some(j) } => {
-                let q = &queues[sock.0];
-                let k = consumed[sock.0];
-                let Some(&(arrived, payload)) = q.get(k) else {
+        check.push(index, marker, ts)?;
+    }
+    Ok(())
+}
+
+/// Def. 2.1 checked one marker at a time: [`check_consistency`] is a loop
+/// over [`ConsistencyCheck::push`].
+#[derive(Debug, Clone)]
+pub struct ConsistencyCheck<'a> {
+    events: &'a [ArrivalEvent],
+    /// Per socket, the indices of its arrival events in FIFO order. A
+    /// socket without arrivals may be missing: its queue is empty.
+    queues: Vec<Vec<usize>>,
+    /// Per socket, how many of its arrivals reads have consumed.
+    consumed: Vec<usize>,
+}
+
+impl<'a> ConsistencyCheck<'a> {
+    /// A check of an empty trace prefix against `arrivals`.
+    pub fn new(arrivals: &'a ArrivalSequence) -> ConsistencyCheck<'a> {
+        let events = arrivals.events();
+        let mut queues = vec![Vec::new(); arrivals.min_socket_count()];
+        for (idx, e) in events.iter().enumerate() {
+            queues[e.sock.0].push(idx);
+        }
+        let consumed = vec![0; queues.len()];
+        ConsistencyCheck {
+            events,
+            queues,
+            consumed,
+        }
+    }
+
+    /// Extends the checked prefix by `marker`, the trace's marker at
+    /// `index`, stamped `ts`. For a successful read, returns the index (in
+    /// `arrivals.events()`) of the arrival it consumed.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ConsistencyError`] if the read at `index` is
+    /// inconsistent with the arrivals. A check that returned an error has
+    /// stopped tracking the trace; do not push further markers.
+    #[inline]
+    pub fn push(
+        &mut self,
+        index: usize,
+        marker: &Marker,
+        ts: Instant,
+    ) -> Result<Option<usize>, ConsistencyError> {
+        let Marker::ReadEnd { sock, job } = marker else {
+            return Ok(None);
+        };
+        // The next unconsumed arrival on the socket, if any.
+        let next = self
+            .queues
+            .get(sock.0)
+            .and_then(|q| q.get(self.consumed[sock.0]))
+            .copied();
+        match job {
+            Some(j) => {
+                let Some(idx) = next else {
                     return Err(ConsistencyError::ReadWithoutArrival {
                         index,
                         sock: *sock,
                     });
                 };
-                if payload != j.data() {
+                let arrival = &self.events[idx];
+                if arrival.msg.data() != j.data() {
                     return Err(ConsistencyError::PayloadMismatch {
                         index,
                         sock: *sock,
                     });
                 }
-                if arrived >= ts {
+                if arrival.time >= ts {
                     return Err(ConsistencyError::ReadBeforeArrival {
                         index,
                         job: j.id(),
-                        arrived,
+                        arrived: arrival.time,
                         read_at: ts,
                     });
                 }
-                consumed[sock.0] += 1;
+                self.consumed[sock.0] += 1;
+                Ok(Some(idx))
             }
-            Marker::ReadEnd { sock, job: None } => {
+            None => {
                 // The next unconsumed arrival, if any, must not predate the
                 // read.
-                if let Some(&(arrived, _)) = queues[sock.0].get(consumed[sock.0]) {
-                    if arrived < ts {
-                        return Err(ConsistencyError::DishonestFailedRead {
-                            index,
-                            sock: *sock,
-                            pending_arrival: arrived,
-                            read_at: ts,
-                        });
-                    }
+                match next.map(|idx| self.events[idx].time) {
+                    Some(arrived) if arrived < ts => Err(ConsistencyError::DishonestFailedRead {
+                        index,
+                        sock: *sock,
+                        pending_arrival: arrived,
+                        read_at: ts,
+                    }),
+                    _ => Ok(None),
                 }
             }
-            _ => {}
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -37,8 +37,8 @@ mod timed_trace;
 mod wcet_check;
 pub mod workload;
 
-pub use consistency::{check_consistency, ConsistencyError};
+pub use consistency::{check_consistency, ConsistencyCheck, ConsistencyError};
 pub use cost::{CostModel, FixedFraction, Segment, UniformCost, WorstCase};
 pub use simulator::{JobRecord, SimulationError, SimulationResult, Simulator};
 pub use timed_trace::{TimedTrace, TimedTraceError};
-pub use wcet_check::{check_wcet_compliance, WcetViolation};
+pub use wcet_check::{check_action_wcet, check_wcet_compliance, WcetViolation};

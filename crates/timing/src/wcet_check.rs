@@ -11,11 +11,15 @@
 //! `Read` actions span two markers (`M_ReadS`, `M_ReadE`) and are bounded
 //! by `WcetFR`/`WcetSR` according to their outcome; `Exec j` is bounded by
 //! the WCET `C_i` of `j`'s task.
+//!
+//! [`check_action_wcet`] bounds one action as the protocol cursor closes
+//! it; [`check_wcet_compliance`] is the cursor plus that check, and builds
+//! no action list.
 
 use std::fmt;
 
 use rossl_model::{Duration, TaskId, TaskSet, WcetTable};
-use rossl_trace::{ActionSpan, BasicAction, ProtocolAutomaton, ProtocolError};
+use rossl_trace::{ActionRef, ActionSpan, ProtocolAutomaton, ProtocolError};
 
 use crate::timed_trace::TimedTrace;
 
@@ -70,28 +74,6 @@ impl From<ProtocolError> for WcetViolation {
     }
 }
 
-/// The WCET bound applicable to a basic action.
-fn bound_of(
-    action: &BasicAction,
-    tasks: &TaskSet,
-    wcet: &WcetTable,
-) -> Result<Duration, WcetViolation> {
-    Ok(match action {
-        BasicAction::Read { job: None, .. } => wcet.failed_read,
-        BasicAction::Read { job: Some(_), .. } => wcet.successful_read,
-        BasicAction::Selection(_) => wcet.selection,
-        BasicAction::Dispatch(_) => wcet.dispatch,
-        BasicAction::Execution(j) => tasks
-            .task(j.task())
-            .ok_or(WcetViolation::UnknownTask { task: j.task() })?
-            .wcet(),
-        BasicAction::Completion(_) => wcet.completion,
-        // A mode switch is a bounded bookkeeping step like one idle
-        // iteration: re-tagging the queue, no callback work.
-        BasicAction::Idling | BasicAction::ModeSwitch { .. } => wcet.idling,
-    })
-}
-
 /// Checks that every complete basic action in `trace` respects its WCET.
 ///
 /// Only *complete* actions (whose closing marker is in the trace) are
@@ -100,7 +82,9 @@ fn bound_of(
 ///
 /// # Errors
 ///
-/// Returns the first [`WcetViolation`] in trace order.
+/// Returns [`WcetViolation::Protocol`] if the trace violates the scheduler
+/// protocol anywhere, and otherwise the first [`WcetViolation`] in trace
+/// order.
 ///
 /// # Examples
 ///
@@ -131,20 +115,63 @@ pub fn check_wcet_compliance(
     wcet: &WcetTable,
     n_sockets: usize,
 ) -> Result<(), WcetViolation> {
-    let run = ProtocolAutomaton::new(n_sockets).accept(trace.markers())?;
-    for span in run.complete_actions() {
-        let end = span.end.expect("complete_actions yields closed spans");
-        let actual = trace
-            .timestamp(end)
-            .saturating_duration_since(trace.timestamp(span.start));
-        let bound = bound_of(&span.action, tasks, wcet)?;
-        if actual > bound {
-            return Err(WcetViolation::ActionOverrun {
-                span: span.clone(),
-                bound,
-                actual,
-            });
+    let mut cursor = ProtocolAutomaton::new(n_sockets).cursor();
+    let mut first = Ok(());
+    for (index, marker) in trace.markers().iter().enumerate() {
+        if let Some((action, start)) = cursor.push(index, marker)? {
+            if first.is_ok() {
+                first = check_action_wcet(action, start, index, trace, tasks, wcet);
+            }
         }
+    }
+    first
+}
+
+/// Checks the WCET assumption of §2.3 for `action`, which occupied the
+/// markers `start..end` of `trace` (the marker at `end` starts the next
+/// action), against `tasks`' WCETs `C_i` and the overhead WCETs in `wcet`.
+///
+/// # Errors
+///
+/// Returns [`WcetViolation::ActionOverrun`] if the action ran longer than
+/// its WCET, and [`WcetViolation::UnknownTask`] for the execution of a job
+/// whose task is not in the task set.
+#[inline]
+pub fn check_action_wcet(
+    action: ActionRef<'_>,
+    start: usize,
+    end: usize,
+    trace: &TimedTrace,
+    tasks: &TaskSet,
+    wcet: &WcetTable,
+) -> Result<(), WcetViolation> {
+    let actual = trace
+        .timestamp(end)
+        .saturating_duration_since(trace.timestamp(start));
+    let bound = match action {
+        ActionRef::Read { job: None, .. } => wcet.failed_read,
+        ActionRef::Read { job: Some(_), .. } => wcet.successful_read,
+        ActionRef::Selection(_) => wcet.selection,
+        ActionRef::Dispatch(_) => wcet.dispatch,
+        ActionRef::Execution(j) => tasks
+            .task(j.task())
+            .ok_or(WcetViolation::UnknownTask { task: j.task() })?
+            .wcet(),
+        ActionRef::Completion(_) => wcet.completion,
+        // A mode switch is a bounded bookkeeping step like one idle
+        // iteration: re-tagging the queue, no callback work.
+        ActionRef::Idling | ActionRef::ModeSwitch { .. } => wcet.idling,
+    };
+    if actual > bound {
+        return Err(WcetViolation::ActionOverrun {
+            span: ActionSpan {
+                action: action.into(),
+                start,
+                end: Some(end),
+            },
+            bound,
+            actual,
+        });
     }
     Ok(())
 }

@@ -4,7 +4,9 @@
 //! delimited by marker functions (§2.2). Converting a marker trace into a
 //! sequence of basic actions is part of accepting the trace with the
 //! [`ProtocolAutomaton`](crate::ProtocolAutomaton); this module defines the
-//! result types.
+//! result types: the owned [`BasicAction`] and its borrowed twin
+//! [`ActionRef`], which the [`ProtocolCursor`](crate::ProtocolCursor)
+//! hands out without cloning any job.
 
 use std::fmt;
 
@@ -71,47 +73,131 @@ pub enum ActionKind {
     ModeSwitch,
 }
 
-impl BasicAction {
+/// A [`BasicAction`] whose job is borrowed from the trace that performed
+/// it. `Copy`, so the single pass of the Thm 5.1 verifier can hand one
+/// action to several checkers; `BasicAction::from` makes the owned form
+/// (for errors and [`ProtocolRun`](crate::ProtocolRun)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ActionRef<'a> {
+    /// `Read sock j⊥`.
+    Read {
+        /// The socket read.
+        sock: SocketId,
+        /// The job read, if the read succeeded.
+        job: Option<&'a Job>,
+    },
+    /// `Selection j⊥`.
+    Selection(Option<&'a Job>),
+    /// `Disp j`.
+    Dispatch(&'a Job),
+    /// `Exec j`.
+    Execution(&'a Job),
+    /// `Compl j`.
+    Completion(&'a Job),
+    /// `Idling`.
+    Idling,
+    /// `ModeSwitch from to`.
+    ModeSwitch {
+        /// The mode being left.
+        from: Mode,
+        /// The mode being entered.
+        to: Mode,
+    },
+}
+
+impl<'a> ActionRef<'a> {
     /// The kind of this action.
-    pub fn kind(&self) -> ActionKind {
+    pub(crate) fn kind(self) -> ActionKind {
         match self {
-            BasicAction::Read { job: Some(_), .. } => ActionKind::ReadSuccess,
-            BasicAction::Read { job: None, .. } => ActionKind::ReadFailure,
-            BasicAction::Selection(Some(_)) => ActionKind::SelectionSuccess,
-            BasicAction::Selection(None) => ActionKind::SelectionFailure,
-            BasicAction::Dispatch(_) => ActionKind::Dispatch,
-            BasicAction::Execution(_) => ActionKind::Execution,
-            BasicAction::Completion(_) => ActionKind::Completion,
-            BasicAction::Idling => ActionKind::Idling,
-            BasicAction::ModeSwitch { .. } => ActionKind::ModeSwitch,
+            ActionRef::Read { job: Some(_), .. } => ActionKind::ReadSuccess,
+            ActionRef::Read { job: None, .. } => ActionKind::ReadFailure,
+            ActionRef::Selection(Some(_)) => ActionKind::SelectionSuccess,
+            ActionRef::Selection(None) => ActionKind::SelectionFailure,
+            ActionRef::Dispatch(_) => ActionKind::Dispatch,
+            ActionRef::Execution(_) => ActionKind::Execution,
+            ActionRef::Completion(_) => ActionKind::Completion,
+            ActionRef::Idling => ActionKind::Idling,
+            ActionRef::ModeSwitch { .. } => ActionKind::ModeSwitch,
         }
     }
 
     /// The job the action concerns, if any.
-    pub fn job(&self) -> Option<&Job> {
+    pub(crate) fn job(self) -> Option<&'a Job> {
         match self {
-            BasicAction::Read { job, .. } | BasicAction::Selection(job) => job.as_ref(),
-            BasicAction::Dispatch(j) | BasicAction::Execution(j) | BasicAction::Completion(j) => {
-                Some(j)
-            }
-            BasicAction::Idling | BasicAction::ModeSwitch { .. } => None,
+            ActionRef::Read { job, .. } | ActionRef::Selection(job) => job,
+            ActionRef::Dispatch(j) | ActionRef::Execution(j) | ActionRef::Completion(j) => Some(j),
+            ActionRef::Idling | ActionRef::ModeSwitch { .. } => None,
+        }
+    }
+}
+
+impl From<ActionRef<'_>> for BasicAction {
+    fn from(action: ActionRef<'_>) -> BasicAction {
+        match action {
+            ActionRef::Read { sock, job } => BasicAction::Read {
+                sock,
+                job: job.cloned(),
+            },
+            ActionRef::Selection(job) => BasicAction::Selection(job.cloned()),
+            ActionRef::Dispatch(j) => BasicAction::Dispatch(j.clone()),
+            ActionRef::Execution(j) => BasicAction::Execution(j.clone()),
+            ActionRef::Completion(j) => BasicAction::Completion(j.clone()),
+            ActionRef::Idling => BasicAction::Idling,
+            ActionRef::ModeSwitch { from, to } => BasicAction::ModeSwitch { from, to },
+        }
+    }
+}
+
+impl BasicAction {
+    /// The action with its job borrowed.
+    fn borrowed(&self) -> ActionRef<'_> {
+        match self {
+            BasicAction::Read { sock, job } => ActionRef::Read {
+                sock: *sock,
+                job: job.as_ref(),
+            },
+            BasicAction::Selection(job) => ActionRef::Selection(job.as_ref()),
+            BasicAction::Dispatch(j) => ActionRef::Dispatch(j),
+            BasicAction::Execution(j) => ActionRef::Execution(j),
+            BasicAction::Completion(j) => ActionRef::Completion(j),
+            BasicAction::Idling => ActionRef::Idling,
+            BasicAction::ModeSwitch { from, to } => ActionRef::ModeSwitch {
+                from: *from,
+                to: *to,
+            },
+        }
+    }
+
+    /// The kind of this action.
+    pub fn kind(&self) -> ActionKind {
+        self.borrowed().kind()
+    }
+
+    /// The job the action concerns, if any.
+    pub fn job(&self) -> Option<&Job> {
+        self.borrowed().job()
+    }
+}
+
+impl fmt::Display for ActionRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ActionRef::Read { sock, job: Some(j) } => write!(f, "Read {sock} {j}"),
+            ActionRef::Read { sock, job: None } => write!(f, "Read {sock} ⊥"),
+            ActionRef::Selection(Some(j)) => write!(f, "Selection {j}"),
+            ActionRef::Selection(None) => write!(f, "Selection ⊥"),
+            ActionRef::Dispatch(j) => write!(f, "Disp {j}"),
+            ActionRef::Execution(j) => write!(f, "Exec {j}"),
+            ActionRef::Completion(j) => write!(f, "Compl {j}"),
+            ActionRef::Idling => write!(f, "Idling"),
+            ActionRef::ModeSwitch { from, to } => write!(f, "ModeSwitch {from} {to}"),
         }
     }
 }
 
 impl fmt::Display for BasicAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BasicAction::Read { sock, job: Some(j) } => write!(f, "Read {sock} {j}"),
-            BasicAction::Read { sock, job: None } => write!(f, "Read {sock} ⊥"),
-            BasicAction::Selection(Some(j)) => write!(f, "Selection {j}"),
-            BasicAction::Selection(None) => write!(f, "Selection ⊥"),
-            BasicAction::Dispatch(j) => write!(f, "Disp {j}"),
-            BasicAction::Execution(j) => write!(f, "Exec {j}"),
-            BasicAction::Completion(j) => write!(f, "Compl {j}"),
-            BasicAction::Idling => write!(f, "Idling"),
-            BasicAction::ModeSwitch { from, to } => write!(f, "ModeSwitch {from} {to}"),
-        }
+        self.borrowed().fmt(f)
     }
 }
 

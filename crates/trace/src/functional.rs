@@ -18,7 +18,7 @@
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
-use rossl_model::{Job, JobId, Mode, TaskId, TaskSet};
+use rossl_model::{JobId, Mode, Priority, TaskId, TaskSet};
 
 use crate::marker::Marker;
 
@@ -153,75 +153,87 @@ impl std::error::Error for FunctionalError {}
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn check_functional(trace: &[Marker], tasks: &TaskSet) -> Result<(), FunctionalError> {
-    let mut pending: BTreeMap<JobId, Job> = BTreeMap::new();
-    let mut seen_ids: HashSet<JobId> = HashSet::new();
-    let mut mode = Mode::default();
+    let mut check = FunctionalCheck::new(tasks);
+    trace
+        .iter()
+        .enumerate()
+        .try_for_each(|(index, marker)| check.push(index, marker))
+}
 
-    let priority_of = |index: usize, job: &Job| {
-        tasks
-            .task(job.task())
-            .map(|t| t.priority())
-            .ok_or(FunctionalError::UnknownTask {
-                index,
-                task: job.task(),
-            })
-    };
-    // A pending job is *eligible* when the current mode serves its task's
-    // criticality; in HI mode LO-criticality jobs are suspended, so the
-    // dispatch-priority and idle obligations quantify over eligible jobs
-    // only. For all-HI task sets (the pre-mixed-criticality default)
-    // every pending job is eligible and this is exactly Def. 3.2.
-    let eligible_in = |index: usize, mode: Mode, job: &Job| {
-        tasks
-            .task(job.task())
-            .map(|t| mode.serves(t.criticality()))
-            .ok_or(FunctionalError::UnknownTask {
-                index,
-                task: job.task(),
-            })
-    };
+/// Def. 3.2 checked one marker at a time: [`check_functional`] is a loop
+/// over [`FunctionalCheck::push`].
+///
+/// The check maintains the pending set (job id to task id) and the
+/// criticality mode of the trace prefix seen so far.
+#[derive(Debug, Clone)]
+pub struct FunctionalCheck<'t> {
+    tasks: &'t TaskSet,
+    pending: BTreeMap<JobId, TaskId>,
+    seen_ids: HashSet<JobId>,
+    mode: Mode,
+}
 
-    for (index, marker) in trace.iter().enumerate() {
+impl<'t> FunctionalCheck<'t> {
+    /// A check of an empty trace prefix against the priorities in `tasks`.
+    pub fn new(tasks: &'t TaskSet) -> FunctionalCheck<'t> {
+        FunctionalCheck {
+            tasks,
+            pending: BTreeMap::new(),
+            seen_ids: HashSet::new(),
+            mode: Mode::default(),
+        }
+    }
+
+    /// Extends the checked prefix by `marker`, the trace's marker at
+    /// `index`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`FunctionalError`] if the extended prefix violates
+    /// Def. 3.2 at `index`. A check that returned an error has stopped
+    /// tracking the trace; do not push further markers.
+    #[inline]
+    pub fn push(&mut self, index: usize, marker: &Marker) -> Result<(), FunctionalError> {
         match marker {
             Marker::ReadEnd { job: Some(j), .. } => {
-                if !seen_ids.insert(j.id()) {
+                if !self.seen_ids.insert(j.id()) {
                     return Err(FunctionalError::DuplicateJobId {
                         index,
                         id: j.id(),
                     });
                 }
-                priority_of(index, j)?;
-                pending.insert(j.id(), j.clone());
+                self.priority_of(index, j.task())?;
+                self.pending.insert(j.id(), j.task());
             }
             Marker::Dispatch(j) => {
-                if !pending.contains_key(&j.id()) {
+                if !self.pending.contains_key(&j.id()) {
                     return Err(FunctionalError::DispatchOfNonPending {
                         index,
                         job: j.id(),
                     });
                 }
-                if !eligible_in(index, mode, j)? {
+                if !self.eligible(index, j.task())? {
                     return Err(FunctionalError::DispatchOfSuspended {
                         index,
                         job: j.id(),
                     });
                 }
-                let p = priority_of(index, j)?;
-                for other in pending.values() {
-                    if eligible_in(index, mode, other)? && priority_of(index, other)? > p {
+                let p = self.priority_of(index, j.task())?;
+                for (&other, &task) in &self.pending {
+                    if self.eligible(index, task)? && self.priority_of(index, task)? > p {
                         return Err(FunctionalError::DispatchNotHighestPriority {
                             index,
                             dispatched: j.id(),
-                            better: other.id(),
+                            better: other,
                         });
                     }
                 }
-                pending.remove(&j.id());
+                self.pending.remove(&j.id());
             }
             Marker::Idling => {
                 let mut eligible = 0usize;
-                for job in pending.values() {
-                    if eligible_in(index, mode, job)? {
+                for &task in self.pending.values() {
+                    if self.eligible(index, task)? {
                         eligible += 1;
                     }
                 }
@@ -233,25 +245,44 @@ pub fn check_functional(trace: &[Marker], tasks: &TaskSet) -> Result<(), Functio
                 }
             }
             Marker::ModeSwitch { from, to } => {
-                if *from != mode {
+                if *from != self.mode {
                     return Err(FunctionalError::InconsistentModeSwitch {
                         index,
-                        expected: mode,
+                        expected: self.mode,
                         found: *from,
                     });
                 }
-                mode = *to;
+                self.mode = *to;
             }
             _ => {}
         }
+        Ok(())
     }
-    Ok(())
+
+    fn priority_of(&self, index: usize, task: TaskId) -> Result<Priority, FunctionalError> {
+        self.tasks
+            .task(task)
+            .map(|t| t.priority())
+            .ok_or(FunctionalError::UnknownTask { index, task })
+    }
+
+    /// A pending job is *eligible* when the current mode serves its task's
+    /// criticality; in HI mode LO-criticality jobs are suspended, so the
+    /// dispatch-priority and idle obligations quantify over eligible jobs
+    /// only. For all-HI task sets (the pre-mixed-criticality default)
+    /// every pending job is eligible and this is exactly Def. 3.2.
+    fn eligible(&self, index: usize, task: TaskId) -> Result<bool, FunctionalError> {
+        self.tasks
+            .task(task)
+            .map(|t| self.mode.serves(t.criticality()))
+            .ok_or(FunctionalError::UnknownTask { index, task })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rossl_model::{Curve, Duration, Priority, SocketId, Task};
+    use rossl_model::{Curve, Duration, Job, Priority, SocketId, Task};
 
     fn tasks() -> TaskSet {
         TaskSet::new(vec![

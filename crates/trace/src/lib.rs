@@ -11,11 +11,14 @@
 //! * [`ProtocolAutomaton`] — an executable version of the state-transition
 //!   system of Fig. 5, parametric in the number of sockets. A trace
 //!   *satisfies the scheduler protocol* (Def. 3.1, `tr_prot`) iff the
-//!   automaton accepts it starting from the idling state.
+//!   automaton accepts it starting from the idling state. Its
+//!   [`ProtocolCursor`] runs it one marker at a time and hands out each
+//!   closed action as an [`ActionRef`] that borrows its job.
 //! * [`check_functional`] — the functional-correctness invariant of
 //!   Def. 3.2 (`tr_valid`): dispatched jobs have maximal priority among the
 //!   pending jobs, the scheduler idles only when no jobs are pending, and
-//!   job identifiers are unique.
+//!   job identifiers are unique. [`FunctionalCheck`] is the same check one
+//!   marker at a time.
 //! * [`pending_jobs`] / [`read_jobs`] — the auxiliary set definitions used
 //!   by Defs 2.1 and 3.2.
 //!
@@ -57,10 +60,13 @@ mod sets;
 mod stats;
 mod stitched;
 
-pub use action::{ActionKind, ActionSpan, BasicAction};
-pub use functional::{check_functional, FunctionalError};
+pub use action::{ActionKind, ActionRef, ActionSpan, BasicAction};
+pub use functional::{check_functional, FunctionalCheck, FunctionalError};
 pub use marker::{Marker, MarkerKind};
-pub use protocol::{ProtocolAutomaton, ProtocolError, ProtocolRun, ProtocolState, ProtocolViolation};
+pub use protocol::{
+    ProtocolAutomaton, ProtocolCursor, ProtocolError, ProtocolRun, ProtocolState,
+    ProtocolViolation,
+};
 pub use sets::{pending_jobs, read_jobs};
 pub use stats::TraceStats;
 pub use stitched::{check_stitched, SeamViolation, StitchedError, StitchedReport, StitchedTrace};
