@@ -56,6 +56,9 @@ pub enum Marker {
     },
 }
 
+// A job is one shared pointer, so a trace stores three words per marker.
+const _: () = assert!(std::mem::size_of::<Marker>() <= 24);
+
 /// The discriminant of a [`Marker`], for reporting and statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum MarkerKind {
