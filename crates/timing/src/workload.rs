@@ -148,6 +148,9 @@ fn saturating_for_task(
     horizon: Instant,
 ) -> Vec<ArrivalEvent> {
     let mut events = Vec::new();
+    if admits_none(task.arrival_curve()) {
+        return events;
+    }
     let start = Instant(1);
     match *task.arrival_curve() {
         Curve::Periodic { period: t } | Curve::Sporadic {
@@ -208,13 +211,6 @@ fn saturating_for_task(
                         continue 'outer;
                     }
                 }
-                if curve.max_arrivals(Duration(1)) == 0 {
-                    break; // curve admits nothing
-                }
-                // Also the singleton window.
-                if curve.max_arrivals(Duration(1)) < 1 {
-                    break;
-                }
                 placed.push(candidate);
                 // A staircase curve is constant after its last breakpoint,
                 // so it admits at most that many arrivals in total.
@@ -230,6 +226,14 @@ fn saturating_for_task(
         }
     }
     events
+}
+
+/// Whether Eq. 2 at `Δ = 1` forbids every arrival: `α(1) = 0`. Such a
+/// curve can pass [`Curve::validate`] (a leaky bucket with no burst, a
+/// staircase whose first step exceeds one tick), yet no arrival respects
+/// it.
+fn admits_none(curve: &Curve) -> bool {
+    curve.max_arrivals(Duration(1)) == 0
 }
 
 /// The smallest window length admitting `k` arrivals under `curve`, found
@@ -265,9 +269,10 @@ fn min_window_for(curve: &Curve, k: u64, cap: Duration) -> Option<Duration> {
 /// shapes neither [`periodic`] nor [`saturating`] reach (irregular
 /// clustering up to exactly the curve limit).
 ///
-/// Complexity is `O(n²)` in the arrivals per task (every new arrival is
-/// checked against all earlier ones), which is fine for experiment-scale
-/// horizons.
+/// Each new arrival is checked against all earlier ones, so placement is
+/// `O(n²)` table lookups in the arrivals `n` per task. The minimum window
+/// length for `k` arrivals is computed once per task and `k`, which costs
+/// `O(n log horizon)` curve evaluations in all.
 pub fn randomized<R: Rng>(
     tasks: &TaskSet,
     codec: &impl MessageCodec,
@@ -279,6 +284,9 @@ pub fn randomized<R: Rng>(
     let mut events = Vec::new();
     for task in tasks {
         let curve = task.arrival_curve();
+        if admits_none(curve) {
+            continue;
+        }
         // Mean gap from the long-run rate (fallback: a tenth of the
         // horizon for bounded-total curves).
         let mean_gap = curve
@@ -288,19 +296,23 @@ pub fn randomized<R: Rng>(
             .unwrap_or(horizon.ticks() / 10)
             .max(1);
         let mut placed: Vec<Instant> = Vec::new();
+        // min_window[k − 2]: the smallest window holding k ≥ 2 arrivals.
+        let mut min_window: Vec<Duration> = Vec::new();
         let mut candidate = Instant(rng.gen_range(0..=mean_gap));
-        'placing: while candidate <= horizon {
-            // Earliest feasible instant ≥ candidate.
-            let mut t = candidate;
-            for (i, &earlier) in placed.iter().enumerate() {
-                let k = (placed.len() - i + 1) as u64;
-                match min_window_for(curve, k, cap) {
-                    Some(min_len) => {
-                        let feasible = earlier.saturating_add(min_len.saturating_sub(Duration(1)));
-                        t = t.max(feasible);
-                    }
-                    None => break 'placing, // curve admits no more arrivals
+        while candidate <= horizon {
+            if !placed.is_empty() {
+                match min_window_for(curve, placed.len() as u64 + 1, cap) {
+                    Some(len) => min_window.push(len),
+                    None => break, // curve admits no more arrivals
                 }
+            }
+            // Earliest feasible instant ≥ candidate: the window from the
+            // arrival k − 1 places back to the new one holds k arrivals,
+            // so it is at least min_window[k − 2] long.
+            let mut t = candidate;
+            for (&earlier, &min_len) in placed.iter().zip(min_window.iter().rev()) {
+                let feasible = earlier.saturating_add(min_len.saturating_sub(Duration(1)));
+                t = t.max(feasible);
             }
             if t > horizon {
                 break;
@@ -437,6 +449,37 @@ mod tests {
             b.arrivals_of_task(TaskId(0)),
             "randomized workload should not be the saturating one"
         );
+    }
+
+    #[test]
+    fn curves_admitting_no_arrival_get_none() {
+        // α(1) = 0 passes validation, yet Eq. 2 at Δ = 1 forbids every
+        // arrival.
+        for curve in [
+            Curve::leaky_bucket(0, 1, 10),
+            Curve::staircase(vec![(Duration(5), 2)]),
+        ] {
+            curve.validate().unwrap();
+            let tasks = TaskSet::new(vec![Task::new(
+                TaskId(0),
+                "none",
+                Priority(1),
+                Duration(5),
+                curve.clone(),
+            )])
+            .unwrap();
+            let (codec, sockets, horizon) =
+                (&FirstByteCodec, &round_robin_sockets(1), Instant(2_000));
+            let mut rng = StdRng::seed_from_u64(0);
+            for seq in [
+                periodic(&tasks, codec, sockets, horizon),
+                sporadic_random(&tasks, codec, sockets, horizon, &mut rng),
+                saturating(&tasks, codec, sockets, horizon),
+                randomized(&tasks, codec, sockets, horizon, &mut rng),
+            ] {
+                assert!(seq.is_empty(), "{curve}: {seq}");
+            }
+        }
     }
 
     #[test]
