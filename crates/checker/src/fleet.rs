@@ -10,13 +10,20 @@
 //! * **Per shard** — every shard's segments must pass the same three
 //!   layers as a crashing single scheduler (per-segment protocol,
 //!   cross-segment functional correctness, per-socket consumed-message
-//!   accounting), except that jobs re-pended by a manifest are injected
-//!   into the successor's pending set at the migration seam — without
-//!   the manifest their dispatches would be `DispatchOfNonPending`,
-//!   which is exactly what makes a forged migration detectable.
+//!   accounting): each shard runs the same
+//!   [`StitchedCheck`](rossl_trace::StitchedCheck) step as
+//!   [`rossl_trace::check_stitched`]. The one addition is admission:
+//!   jobs re-pended by a manifest enter the successor's pending set at
+//!   the migration seam, at index 0 of that segment, before its first
+//!   marker — without the manifest their dispatches would be
+//!   `DispatchOfNonPending`, which is exactly what makes a forged
+//!   migration detectable.
 //! * **Conservation across the seam** — for each dead shard, the set of
 //!   jobs accepted but not completed on its committed history must
-//!   *equal* the set migrated away (matched by task and payload): a
+//!   *equal* the set migrated away (matched by task and payload, where a
+//!   leftover's payload is the last one its history gave its id: the
+//!   read's, or the dispatch's for a job in flight or whose dispatch a
+//!   restart voided, or the manifest's for a job migrated in): a
 //!   leftover job with no manifest entry is a lost job
 //!   ([`FleetCheckError::LostShardJobs`] — the `dropped-failover`
 //!   oracle), and a manifest entry with no matching leftover is a
@@ -25,13 +32,11 @@
 //!   ([`FleetCheckError::UnjustifiedMigration`]): an unforced failover
 //!   is itself a bug, not resilience.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
-use rossl_model::{Job, JobId, Mode, SocketId, TaskSet};
-use rossl_trace::{
-    FunctionalError, Marker, ProtocolAutomaton, SeamViolation, StitchedError, Trace,
-};
+use rossl_model::{Job, JobId, TaskSet};
+use rossl_trace::{ProtocolAutomaton, StitchedCheck, StitchedError, Trace};
 
 /// One shard's complete observable history in a fleet run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -193,7 +198,11 @@ pub fn check_fleet(
     let mut leftovers: BTreeMap<usize, BTreeMap<JobId, Job>> = BTreeMap::new();
 
     for shard in shards {
-        let (pending, completed) = check_one_shard(shard, manifests, tasks, n_sockets)?;
+        let (pending, completed) = check_one_shard(shard, manifests, tasks, n_sockets)
+            .map_err(|error| FleetCheckError::Shard {
+                shard: shard.shard,
+                error,
+            })?;
         jobs_completed += completed;
         jobs_pending_at_end += pending.len();
         if shard.dead {
@@ -252,209 +261,54 @@ pub fn check_fleet(
     })
 }
 
-/// The stitched functional + seam pass for one shard, with manifest
-/// jobs injected at their migration seams. Returns the uncompleted
-/// accepted jobs at the end of the history and the completion count.
-#[allow(clippy::too_many_lines)]
+/// The stitched functional, seam and consumed checks for one shard,
+/// with manifest jobs admitted at their migration seams. Returns the
+/// shard's unfinished jobs, each with the last payload its history gave
+/// it, and the completion count.
 fn check_one_shard(
     shard: &ShardHistory,
     manifests: &[MigrationManifest],
     tasks: &TaskSet,
     n_sockets: usize,
-) -> Result<(BTreeMap<JobId, Job>, usize), FleetCheckError> {
-    let fail = |segment: usize, error: FunctionalError| FleetCheckError::Shard {
-        shard: shard.shard,
-        error: StitchedError::Functional { segment, error },
-    };
-    let seam = |violation: SeamViolation| FleetCheckError::Shard {
-        shard: shard.shard,
-        error: StitchedError::Seam(violation),
-    };
-    let priority_of = |segment: usize, index: usize, job: &Job| {
-        tasks.task(job.task()).map(|t| t.priority()).ok_or_else(|| {
-            fail(
-                segment,
-                FunctionalError::UnknownTask {
-                    index,
-                    task: job.task(),
-                },
-            )
-        })
-    };
-    let eligible_in = |segment: usize, index: usize, mode: Mode, job: &Job| {
-        tasks
-            .task(job.task())
-            .map(|t| mode.serves(t.criticality()))
-            .ok_or_else(|| {
-                fail(
-                    segment,
-                    FunctionalError::UnknownTask {
-                        index,
-                        task: job.task(),
-                    },
-                )
-            })
-    };
-
-    let mut pending: BTreeMap<JobId, Job> = BTreeMap::new();
-    let mut seen_ids: HashSet<JobId> = HashSet::new();
-    let mut completed: HashSet<JobId> = HashSet::new();
-    let mut in_flight: Option<Job> = None;
-    let mut voided: HashSet<JobId> = HashSet::new();
-    let mut reads_per_sock: Vec<usize> = vec![0; n_sockets];
-    let mut mode = Mode::default();
-
+) -> Result<(BTreeMap<JobId, Job>, usize), StitchedError> {
+    let mut check = StitchedCheck::new(tasks, n_sockets);
+    // The last value each job id carried: its read, its manifest entry,
+    // or its dispatch (which a seam voids, or which is still in flight).
+    let mut jobs: HashMap<JobId, Job> = HashMap::new();
     for (segment, trace) in shard.segments.iter().enumerate() {
         if segment > 0 {
-            // Restart seam, exactly as in `check_stitched`: an in-flight
-            // dispatch is voided and the job returns to pending.
-            if let Some(j) = in_flight.take() {
-                voided.insert(j.id());
-                pending.insert(j.id(), j);
-            }
+            check.restart();
         }
         // Migration seam: jobs replayed from a dead shard's journal
         // enter this shard's pending set under their fresh ids.
-        for m in manifests {
-            if m.to_shard != shard.shard || m.at_segment != segment {
-                continue;
-            }
-            for mj in &m.moved {
-                if !seen_ids.insert(mj.job.id()) {
-                    return Err(fail(
-                        segment,
-                        FunctionalError::DuplicateJobId {
-                            index: 0,
-                            id: mj.job.id(),
-                        },
-                    ));
-                }
-                priority_of(segment, 0, &mj.job)?;
-                pending.insert(mj.job.id(), mj.job.clone());
-            }
+        let arriving = manifests
+            .iter()
+            .filter(|m| m.to_shard == shard.shard && m.at_segment == segment);
+        for mj in arriving.flat_map(|m| &m.moved) {
+            check.admit(&mj.job)?;
+            jobs.insert(mj.job.id(), mj.job.clone());
         }
         for (index, marker) in trace.iter().enumerate() {
-            match marker {
-                Marker::ReadEnd { sock, job: Some(j) } => {
-                    if !seen_ids.insert(j.id()) {
-                        return Err(fail(
-                            segment,
-                            FunctionalError::DuplicateJobId { index, id: j.id() },
-                        ));
-                    }
-                    priority_of(segment, index, j)?;
-                    if sock.0 < n_sockets {
-                        reads_per_sock[sock.0] += 1;
-                    }
-                    pending.insert(j.id(), j.clone());
-                }
-                Marker::Dispatch(j) => {
-                    if completed.contains(&j.id()) {
-                        return Err(seam(SeamViolation::DuplicateDispatch {
-                            segment,
-                            index,
-                            job: j.id(),
-                        }));
-                    }
-                    if !pending.contains_key(&j.id()) {
-                        return Err(fail(
-                            segment,
-                            FunctionalError::DispatchOfNonPending { index, job: j.id() },
-                        ));
-                    }
-                    if !eligible_in(segment, index, mode, j)? {
-                        return Err(fail(
-                            segment,
-                            FunctionalError::DispatchOfSuspended { index, job: j.id() },
-                        ));
-                    }
-                    let p = priority_of(segment, index, j)?;
-                    for other in pending.values() {
-                        if eligible_in(segment, index, mode, other)?
-                            && priority_of(segment, index, other)? > p
-                        {
-                            return Err(fail(
-                                segment,
-                                FunctionalError::DispatchNotHighestPriority {
-                                    index,
-                                    dispatched: j.id(),
-                                    better: other.id(),
-                                },
-                            ));
-                        }
-                    }
-                    pending.remove(&j.id());
-                    in_flight = Some(j.clone());
-                }
-                Marker::Completion(j) => {
-                    if !completed.insert(j.id()) {
-                        return Err(seam(SeamViolation::DuplicateCompletion {
-                            segment,
-                            index,
-                            job: j.id(),
-                        }));
-                    }
-                    in_flight = None;
-                }
-                Marker::Idling => {
-                    let mut eligible = 0usize;
-                    for job in pending.values() {
-                        if eligible_in(segment, index, mode, job)? {
-                            eligible += 1;
-                        }
-                    }
-                    if eligible > 0 {
-                        return Err(fail(
-                            segment,
-                            FunctionalError::IdleWithPendingJobs {
-                                index,
-                                pending: eligible,
-                            },
-                        ));
-                    }
-                }
-                Marker::ModeSwitch { from, to } => {
-                    if *from != mode {
-                        return Err(fail(
-                            segment,
-                            FunctionalError::InconsistentModeSwitch {
-                                index,
-                                expected: mode,
-                                found: *from,
-                            },
-                        ));
-                    }
-                    mode = *to;
-                }
-                _ => {}
+            if let Some(j) = check.push(index, marker)? {
+                jobs.insert(j.id(), j.clone());
             }
         }
     }
-
-    // Accepted-job accounting against the environment, per socket.
-    for (sock, &observed) in reads_per_sock.iter().enumerate() {
-        let consumed = shard.consumed.get(sock).copied().unwrap_or(0);
-        if consumed != observed {
-            return Err(seam(SeamViolation::LostAcceptedJob {
-                sock: SocketId(sock),
-                consumed,
-                observed,
-            }));
-        }
-    }
-
-    // A dead shard's in-flight job is voided by the migration replay:
-    // it counts among the uncompleted leftovers to be moved.
-    if let Some(j) = in_flight {
-        pending.insert(j.id(), j);
-    }
-    Ok((pending, completed.len()))
+    check.check_consumed(&shard.consumed)?;
+    // A dead shard's in-flight job is voided by the migration replay: it
+    // counts among the unfinished leftovers to be moved.
+    let unfinished = check
+        .unfinished()
+        .map(|id| (id, jobs[&id].clone()))
+        .collect();
+    Ok((unfinished, check.finish().jobs_completed))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rossl_model::{Curve, Duration, Priority, Task, TaskId};
+    use rossl_model::{Curve, Duration, Priority, SocketId, Task, TaskId};
+    use rossl_trace::{FunctionalError, Marker};
 
     fn tasks() -> TaskSet {
         TaskSet::new(vec![Task::new(

@@ -18,7 +18,7 @@
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
-use rossl_model::{JobId, Mode, Priority, TaskId, TaskSet};
+use rossl_model::{Job, JobId, Mode, Priority, TaskId, TaskSet};
 
 use crate::marker::Marker;
 
@@ -195,16 +195,7 @@ impl<'t> FunctionalCheck<'t> {
     #[inline]
     pub fn push(&mut self, index: usize, marker: &Marker) -> Result<(), FunctionalError> {
         match marker {
-            Marker::ReadEnd { job: Some(j), .. } => {
-                if !self.seen_ids.insert(j.id()) {
-                    return Err(FunctionalError::DuplicateJobId {
-                        index,
-                        id: j.id(),
-                    });
-                }
-                self.priority_of(index, j.task())?;
-                self.pending.insert(j.id(), j.task());
-            }
+            Marker::ReadEnd { job: Some(j), .. } => self.admit(index, j)?,
             Marker::Dispatch(j) => {
                 if !self.pending.contains_key(&j.id()) {
                     return Err(FunctionalError::DispatchOfNonPending {
@@ -259,6 +250,33 @@ impl<'t> FunctionalCheck<'t> {
         Ok(())
     }
 
+    /// The read rule: `job` must carry a fresh id of a known task, and
+    /// it becomes pending. [`StitchedCheck`](crate::StitchedCheck) also
+    /// admits migrated jobs through it.
+    #[inline]
+    pub(crate) fn admit(&mut self, index: usize, job: &Job) -> Result<(), FunctionalError> {
+        if !self.seen_ids.insert(job.id()) {
+            return Err(FunctionalError::DuplicateJobId {
+                index,
+                id: job.id(),
+            });
+        }
+        self.priority_of(index, job.task())?;
+        self.pending.insert(job.id(), job.task());
+        Ok(())
+    }
+
+    /// Returns a dispatched job to the pending set: a crash seam voids
+    /// its dispatch.
+    pub(crate) fn void_dispatch(&mut self, job: &Job) {
+        self.pending.insert(job.id(), job.task());
+    }
+
+    /// The ids of the pending jobs, in id order.
+    pub(crate) fn pending(&self) -> impl Iterator<Item = JobId> + '_ {
+        self.pending.keys().copied()
+    }
+
     fn priority_of(&self, index: usize, task: TaskId) -> Result<Priority, FunctionalError> {
         self.tasks
             .task(task)
@@ -282,7 +300,7 @@ impl<'t> FunctionalCheck<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rossl_model::{Curve, Duration, Job, Priority, SocketId, Task};
+    use rossl_model::{Curve, Duration, Priority, SocketId, Task};
 
     fn tasks() -> TaskSet {
         TaskSet::new(vec![

@@ -69,7 +69,9 @@ pub use protocol::{
 };
 pub use sets::{pending_jobs, read_jobs};
 pub use stats::TraceStats;
-pub use stitched::{check_stitched, SeamViolation, StitchedError, StitchedReport, StitchedTrace};
+pub use stitched::{
+    check_stitched, SeamViolation, StitchedCheck, StitchedError, StitchedReport, StitchedTrace,
+};
 
 /// A trace of marker functions, ordered by emission.
 pub type Trace = Vec<Marker>;

@@ -17,7 +17,8 @@
 //!   priority order. The criticality mode carries across seams too — a
 //!   recovery resumes in the last *committed* mode switch's target, so
 //!   the dispatch and idle obligations quantify over the jobs that mode
-//!   serves, exactly as in the single-trace functional check.
+//!   serves. This layer *is* the single-trace check: one
+//!   [`FunctionalCheck`] runs over all segments in order.
 //! * **Seam well-formedness** — the crash seam itself must neither
 //!   duplicate nor lose work:
 //!   * a job already **completed** before the crash must not be
@@ -34,6 +35,14 @@
 //!     journal commit has consumed input invisibly, and only this
 //!     external accounting can tell.
 //!
+//! [`StitchedCheck`] is the step that carries the functional check
+//! across seams and adds the seam rules; [`check_stitched`] is a loop
+//! over it. The seam rules run before the functional step, so a
+//! completed job's dispatch is a [`SeamViolation::DuplicateDispatch`]
+//! rather than a `DispatchOfNonPending`. The fleet checker in
+//! `rossl-verify` runs the same step per shard and admits migrated jobs
+//! through [`StitchedCheck::admit`].
+//!
 //! [`check_stitched`] evaluates the functional and seam layers before
 //! the per-segment protocol layer, so forged or corrupted recoveries are
 //! diagnosed as the seam violation they commit rather than as whatever
@@ -41,12 +50,12 @@
 //! docs for why the opposite order made
 //! [`SeamViolation::DuplicateCompletion`] unreachable).
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
-use rossl_model::{Job, JobId, Mode, SocketId, TaskSet};
+use rossl_model::{Job, JobId, SocketId, TaskSet};
 
-use crate::functional::FunctionalError;
+use crate::functional::{FunctionalCheck, FunctionalError};
 use crate::marker::Marker;
 use crate::protocol::{ProtocolAutomaton, ProtocolError};
 use crate::Trace;
@@ -243,180 +252,19 @@ pub fn check_stitched(
     n_sockets: usize,
     consumed: Option<&[usize]>,
 ) -> Result<StitchedReport, StitchedError> {
-    // Layers 1 and 2: one global functional pass with seam rules. This
-    // runs before the protocol layer so seam violations are reported as
-    // such even on segments that are not protocol-valid.
-    let mut pending: BTreeMap<JobId, Job> = BTreeMap::new();
-    let mut seen_ids: HashSet<JobId> = HashSet::new();
-    let mut completed: HashSet<JobId> = HashSet::new();
-    let mut in_flight: Option<Job> = None;
-    let mut redispatched: Vec<JobId> = Vec::new();
-    let mut voided: HashSet<JobId> = HashSet::new();
-    let mut reads_per_sock: Vec<usize> = vec![0; n_sockets];
-    // The mode is *not* reset at a seam: a recovery resumes in the target
-    // of the last committed `M_ModeSwitch`, which is exactly what carrying
-    // the running mode across segments computes.
-    let mut mode = Mode::default();
-
-    let priority_of = |segment: usize, index: usize, job: &Job| {
-        tasks.task(job.task()).map(|t| t.priority()).ok_or_else(|| {
-            StitchedError::Functional {
-                segment,
-                error: FunctionalError::UnknownTask {
-                    index,
-                    task: job.task(),
-                },
-            }
-        })
-    };
-    // As in the single-trace functional check: the dispatch and idle
-    // obligations quantify only over the pending jobs the current mode
-    // serves (in HI mode, LO-criticality jobs are suspended).
-    let eligible_in = |segment: usize, index: usize, mode: Mode, job: &Job| {
-        tasks
-            .task(job.task())
-            .map(|t| mode.serves(t.criticality()))
-            .ok_or_else(|| StitchedError::Functional {
-                segment,
-                error: FunctionalError::UnknownTask {
-                    index,
-                    task: job.task(),
-                },
-            })
-    };
-
+    // Layers 1 and 2: one functional pass with seam rules over all
+    // segments, then the accepted-job accounting against the environment.
+    let mut check = StitchedCheck::new(tasks, n_sockets);
     for (segment, trace) in stitched.segments().iter().enumerate() {
         if segment > 0 {
-            // Crash seam: a job dispatched but not completed returns to
-            // the pending set — its dispatch is voided and execution
-            // becomes at-least-once.
-            if let Some(j) = in_flight.take() {
-                voided.insert(j.id());
-                pending.insert(j.id(), j);
-            }
+            check.restart();
         }
         for (index, marker) in trace.iter().enumerate() {
-            match marker {
-                Marker::ReadEnd { sock, job: Some(j) } => {
-                    if !seen_ids.insert(j.id()) {
-                        return Err(StitchedError::Functional {
-                            segment,
-                            error: FunctionalError::DuplicateJobId {
-                                index,
-                                id: j.id(),
-                            },
-                        });
-                    }
-                    priority_of(segment, index, j)?;
-                    if sock.0 < n_sockets {
-                        reads_per_sock[sock.0] += 1;
-                    }
-                    pending.insert(j.id(), j.clone());
-                }
-                Marker::Dispatch(j) => {
-                    if completed.contains(&j.id()) {
-                        return Err(StitchedError::Seam(SeamViolation::DuplicateDispatch {
-                            segment,
-                            index,
-                            job: j.id(),
-                        }));
-                    }
-                    if !pending.contains_key(&j.id()) {
-                        return Err(StitchedError::Functional {
-                            segment,
-                            error: FunctionalError::DispatchOfNonPending {
-                                index,
-                                job: j.id(),
-                            },
-                        });
-                    }
-                    if !eligible_in(segment, index, mode, j)? {
-                        return Err(StitchedError::Functional {
-                            segment,
-                            error: FunctionalError::DispatchOfSuspended {
-                                index,
-                                job: j.id(),
-                            },
-                        });
-                    }
-                    let p = priority_of(segment, index, j)?;
-                    for other in pending.values() {
-                        if eligible_in(segment, index, mode, other)?
-                            && priority_of(segment, index, other)? > p
-                        {
-                            return Err(StitchedError::Functional {
-                                segment,
-                                error: FunctionalError::DispatchNotHighestPriority {
-                                    index,
-                                    dispatched: j.id(),
-                                    better: other.id(),
-                                },
-                            });
-                        }
-                    }
-                    pending.remove(&j.id());
-                    if voided.contains(&j.id()) {
-                        redispatched.push(j.id());
-                    }
-                    in_flight = Some(j.clone());
-                }
-                Marker::Completion(j) => {
-                    if !completed.insert(j.id()) {
-                        return Err(StitchedError::Seam(SeamViolation::DuplicateCompletion {
-                            segment,
-                            index,
-                            job: j.id(),
-                        }));
-                    }
-                    in_flight = None;
-                }
-                Marker::Idling => {
-                    let mut eligible = 0usize;
-                    for job in pending.values() {
-                        if eligible_in(segment, index, mode, job)? {
-                            eligible += 1;
-                        }
-                    }
-                    if eligible > 0 {
-                        return Err(StitchedError::Functional {
-                            segment,
-                            error: FunctionalError::IdleWithPendingJobs {
-                                index,
-                                pending: eligible,
-                            },
-                        });
-                    }
-                }
-                Marker::ModeSwitch { from, to } => {
-                    if *from != mode {
-                        return Err(StitchedError::Functional {
-                            segment,
-                            error: FunctionalError::InconsistentModeSwitch {
-                                index,
-                                expected: mode,
-                                found: *from,
-                            },
-                        });
-                    }
-                    mode = *to;
-                }
-                _ => {}
-            }
+            check.push(index, marker)?;
         }
     }
-
-    // Layer 2b: accepted-job accounting against the environment.
     if let Some(consumed) = consumed {
-        for (sock, &observed) in reads_per_sock.iter().enumerate() {
-            let consumed = consumed.get(sock).copied().unwrap_or(0);
-            if consumed != observed {
-                return Err(StitchedError::Seam(SeamViolation::LostAcceptedJob {
-                    sock: SocketId(sock),
-                    consumed,
-                    observed,
-                }));
-            }
-        }
+        check.check_consumed(consumed)?;
     }
 
     // Layer 3: each segment independently satisfies the protocol from
@@ -427,17 +275,178 @@ pub fn check_stitched(
             .map_err(|error| StitchedError::Protocol { segment, error })?;
     }
 
-    Ok(StitchedReport {
-        jobs_completed: completed.len(),
-        jobs_pending_at_end: pending.len() + usize::from(in_flight.is_some()),
-        redispatched,
-    })
+    Ok(check.finish())
+}
+
+/// Def. 3.2 carried across crash seams, one marker at a time:
+/// [`check_stitched`] is a loop over [`StitchedCheck::push`] and
+/// [`StitchedCheck::restart`], followed by
+/// [`StitchedCheck::check_consumed`].
+///
+/// The step wraps a [`FunctionalCheck`] that runs over every segment in
+/// order, so the pending set, job-id uniqueness and the criticality mode
+/// carry across seams. On top of it the step keeps the seam rules: the
+/// completed jobs ([`SeamViolation::DuplicateDispatch`],
+/// [`SeamViolation::DuplicateCompletion`]), the job in flight, whose
+/// dispatch a restart voids, the re-dispatch list and the successful
+/// reads per socket. Error indices count from the start of the current
+/// segment.
+#[derive(Debug, Clone)]
+pub struct StitchedCheck<'t> {
+    functional: FunctionalCheck<'t>,
+    segment: usize,
+    completed: HashSet<JobId>,
+    in_flight: Option<Job>,
+    voided: HashSet<JobId>,
+    redispatched: Vec<JobId>,
+    reads_per_sock: Vec<usize>,
+}
+
+impl<'t> StitchedCheck<'t> {
+    /// A check of segment 0 of an empty history, against the priorities
+    /// in `tasks`, counting reads on `n_sockets` sockets.
+    pub fn new(tasks: &'t TaskSet, n_sockets: usize) -> StitchedCheck<'t> {
+        StitchedCheck {
+            functional: FunctionalCheck::new(tasks),
+            segment: 0,
+            completed: HashSet::new(),
+            in_flight: None,
+            voided: HashSet::new(),
+            redispatched: Vec::new(),
+            reads_per_sock: vec![0; n_sockets],
+        }
+    }
+
+    /// Crosses a crash seam into the next segment. A job dispatched but
+    /// not completed returns to the pending set: its dispatch is voided,
+    /// and its execution becomes at-least-once. The criticality mode is
+    /// *not* reset: a recovery resumes in the target of the last
+    /// committed `M_ModeSwitch`.
+    pub fn restart(&mut self) {
+        self.segment += 1;
+        if let Some(j) = self.in_flight.take() {
+            self.voided.insert(j.id());
+            self.functional.void_dispatch(&j);
+        }
+    }
+
+    /// Admits a job migrated from another history into the pending set,
+    /// at index 0 of the current segment, under the read rule: its id
+    /// must be fresh and its task known.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FunctionalError::DuplicateJobId`] or
+    /// [`FunctionalError::UnknownTask`] at index 0.
+    pub fn admit(&mut self, job: &Job) -> Result<(), StitchedError> {
+        self.functional.admit(0, job).map_err(|error| StitchedError::Functional {
+            segment: self.segment,
+            error,
+        })
+    }
+
+    /// Extends the checked history by `marker`, the current segment's
+    /// marker at `index`. On success, returns the job that the marker
+    /// made pending (a successful read) or dispatched: its payload is
+    /// now the one the history holds for that id.
+    ///
+    /// # Errors
+    ///
+    /// Returns the seam or functional violation at `index`. A check that
+    /// returned an error has stopped tracking the history; do not push
+    /// further markers.
+    pub fn push<'m>(
+        &mut self,
+        index: usize,
+        marker: &'m Marker,
+    ) -> Result<Option<&'m Job>, StitchedError> {
+        let segment = self.segment;
+        match marker {
+            Marker::Dispatch(j) if self.completed.contains(&j.id()) => {
+                return Err(StitchedError::Seam(SeamViolation::DuplicateDispatch {
+                    segment,
+                    index,
+                    job: j.id(),
+                }));
+            }
+            Marker::Completion(j) => {
+                if !self.completed.insert(j.id()) {
+                    return Err(StitchedError::Seam(SeamViolation::DuplicateCompletion {
+                        segment,
+                        index,
+                        job: j.id(),
+                    }));
+                }
+                self.in_flight = None;
+                return Ok(None);
+            }
+            _ => {}
+        }
+        self.functional
+            .push(index, marker)
+            .map_err(|error| StitchedError::Functional { segment, error })?;
+        Ok(match marker {
+            Marker::ReadEnd { sock, job: Some(j) } => {
+                if let Some(reads) = self.reads_per_sock.get_mut(sock.0) {
+                    *reads += 1;
+                }
+                Some(j)
+            }
+            Marker::Dispatch(j) => {
+                if self.voided.contains(&j.id()) {
+                    self.redispatched.push(j.id());
+                }
+                self.in_flight = Some(j.clone());
+                Some(j)
+            }
+            _ => None,
+        })
+    }
+
+    /// The accepted-job accounting: the successful reads of each socket
+    /// must equal the messages the environment recorded as consumed
+    /// from it (index = socket id; a missing entry counts as zero).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SeamViolation::LostAcceptedJob`] for the first socket
+    /// whose counts differ.
+    pub fn check_consumed(&self, consumed: &[usize]) -> Result<(), StitchedError> {
+        for (sock, &observed) in self.reads_per_sock.iter().enumerate() {
+            let consumed = consumed.get(sock).copied().unwrap_or(0);
+            if consumed != observed {
+                return Err(StitchedError::Seam(SeamViolation::LostAcceptedJob {
+                    sock: SocketId(sock),
+                    consumed,
+                    observed,
+                }));
+            }
+        }
+        Ok(())
+    }
+
+    /// The jobs accepted but not completed: the pending ones in id order,
+    /// then the one in flight.
+    pub fn unfinished(&self) -> impl Iterator<Item = JobId> + '_ {
+        self.functional
+            .pending()
+            .chain(self.in_flight.as_ref().map(Job::id))
+    }
+
+    /// What the checked history established.
+    pub fn finish(self) -> StitchedReport {
+        StitchedReport {
+            jobs_completed: self.completed.len(),
+            jobs_pending_at_end: self.unfinished().count(),
+            redispatched: self.redispatched,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rossl_model::{Curve, Duration, Priority, Task, TaskId};
+    use rossl_model::{Curve, Duration, Mode, Priority, Task, TaskId};
 
     fn tasks() -> TaskSet {
         TaskSet::new(vec![
