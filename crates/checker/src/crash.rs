@@ -3,16 +3,18 @@
 //!
 //! For every crash point `k` up to the depth bound, [`CrashSweep`] drives
 //! the real [`rossl::Scheduler`] through **every** resolution of read
-//! nondeterminism, journaling each marker write-ahead; after the `k`-th
-//! marker the scheduler value is dropped (the crash), a torn half-record
-//! is appended to the journal (the interrupted write), and the
-//! [`rossl::Supervisor`] restarts a fresh scheduler from the journal's
-//! committed prefix. The post-crash scheduler is driven on — against the
-//! same environment, whose consumed messages stay consumed — and at every
-//! leaf the pre-/post-crash segments are stitched and checked with
-//! [`check_stitched`]: per-segment protocol, cross-seam functional
-//! correctness, and the seam accounting that no accepted job was lost
-//! and no completed job re-dispatched.
+//! nondeterminism (and, with a mode policy, of HI overruns: the model
+//! checker's branching rule, with consumed messages counted at the
+//! `ReadEnd` that receives each), journaling each marker write-ahead;
+//! after the `k`-th marker the scheduler value is dropped (the crash), a
+//! torn half-record is appended to the journal (the interrupted write),
+//! and the [`rossl::Supervisor`] restarts a fresh scheduler from the
+//! journal's committed prefix. The post-crash scheduler is driven on —
+//! against the same environment, whose consumed messages stay consumed
+//! — and at every leaf the pre-/post-crash segments are stitched and
+//! checked with [`check_stitched`]: per-segment protocol, cross-seam
+//! functional correctness, and the seam accounting that no accepted job
+//! was lost and no completed job re-dispatched.
 //!
 //! All crash points are swept in a **single** exploration of the
 //! pre-crash behaviour tree: at every reachable step the walk forks a
@@ -35,16 +37,16 @@ use std::fmt;
 use std::sync::Arc;
 
 use rossl::{
-    ClientConfig, FirstByteCodec, ModePolicy, Request, Response, RestartPolicy, Scheduler,
-    Supervisor,
+    ClientConfig, FirstByteCodec, ModePolicy, Response, RestartPolicy, Scheduler, Supervisor,
 };
 use rossl_journal::{JournalWriter, KIND_EVENT};
-use rossl_model::{Criticality, Duration, Instant, Job, MsgData};
+use rossl_model::{Instant, MsgData};
 use rossl_par::{Ctx, Pool, Reduce};
 use rossl_trace::{check_stitched, Marker, StitchedTrace};
 
 use crate::shared::{
-    materialize_path, materialize_trace, push_path, push_trace, FailState, PathLink, TraceLink,
+    count_delivery, materialize_path, materialize_trace, push_path, push_trace, Choices,
+    FailState, PathLink, TraceLink,
 };
 
 /// Aggregate result of a crash-point sweep.
@@ -118,8 +120,9 @@ struct Node {
     /// `jobs_completed` of the crashed scheduler, checked against the
     /// recovered state.
     pre_completed: u64,
-    /// Cursor into `pending` per socket — survives the crash: a message
-    /// consumed from the transport stays consumed.
+    /// Messages delivered per socket, counted at the `ReadEnd` that
+    /// receives each: the cursor into the pending queues. Survives the
+    /// crash: a message consumed from the transport stays consumed.
     consumed: Vec<usize>,
     steps: usize,
     response: Option<Response>,
@@ -166,8 +169,8 @@ impl Reduce for SweepAcc {
 #[derive(Debug, Clone)]
 pub struct CrashSweep {
     config: ClientConfig,
-    /// Messages that may arrive, per socket, in FIFO order.
-    pending: Vec<Vec<MsgData>>,
+    /// Messages that may arrive, per socket, and where the walk branches.
+    choices: Choices,
     /// Depth bound: crash points range over `0..max_steps`.
     max_steps: usize,
     /// Post-crash steps granted to each recovery.
@@ -192,15 +195,11 @@ impl CrashSweep {
     ///
     /// Panics if `pending` has more entries than the configured socket
     /// count.
-    pub fn new(config: ClientConfig, mut pending: Vec<Vec<MsgData>>, max_steps: usize) -> CrashSweep {
-        assert!(
-            pending.len() <= config.n_sockets(),
-            "pending messages reference more sockets than configured"
-        );
-        pending.resize(config.n_sockets(), Vec::new());
+    pub fn new(config: ClientConfig, pending: Vec<Vec<MsgData>>, max_steps: usize) -> CrashSweep {
+        let choices = Choices::new(&config, pending);
         CrashSweep {
             config,
-            pending,
+            choices,
             max_steps,
             recovery_budget: max_steps,
             mode_policy: None,
@@ -373,11 +372,7 @@ impl CrashSweep {
                 }
             };
 
-            // A delivered message counts as consumed only once the
-            // advance that receives it has emitted its `ReadEnd`.
-            if let Marker::ReadEnd { sock, job: Some(_) } = &step.marker {
-                node.consumed[sock.0] += 1;
-            }
+            count_delivery(&mut node.consumed, &step.marker);
             if node.crash_at.is_some() {
                 node.post_trace = push_trace(&node.post_trace, step.marker.clone());
             } else {
@@ -409,78 +404,39 @@ impl CrashSweep {
                 }
             }
 
-            match step.request {
-                Some(Request::Read(sock)) => {
-                    let cursor = node.consumed[sock.0];
-                    if let Some(msg) = self.pending[sock.0].get(cursor).cloned() {
-                        // Branch: the message has already arrived.
-                        let delivered = Node {
-                            scheduler: Some(scheduler.clone()),
-                            pre_trace: node.pre_trace.clone(),
-                            post_trace: node.post_trace.clone(),
-                            crash_at: node.crash_at,
-                            pre_completed: node.pre_completed,
-                            consumed: node.consumed.clone(),
-                            steps: node.steps,
-                            response: Some(Response::ReadResult(Some(msg))),
-                            path: push_path(&node.path, 1),
-                        };
-                        node.path = push_path(&node.path, 0);
-                        let mut delivered_path = path.clone();
-                        delivered_path.push(1);
-                        path.push(0);
-                        if self.threads > 1 && ctx.starving() {
-                            ctx.spawn(delivered);
-                        } else if !fail.beats(&delivered_path) {
-                            self.explore(delivered, delivered_path, ctx, fail, config);
-                        }
+            if let Some(request) = step.request {
+                let (response, alternative) =
+                    self.choices.responses(request, &scheduler, &node.consumed);
+                if let Some(alternative) = alternative {
+                    // Branch point: the environment acts (digit 1) —
+                    // a message arrives, or a HI job overruns to C_HI,
+                    // whose AMC mode switch must recover from every
+                    // crash point like any other behaviour — or does
+                    // nothing (digit 0), walked on inline.
+                    let acted = Node {
+                        scheduler: Some(scheduler.clone()),
+                        pre_trace: node.pre_trace.clone(),
+                        post_trace: node.post_trace.clone(),
+                        crash_at: node.crash_at,
+                        pre_completed: node.pre_completed,
+                        consumed: node.consumed.clone(),
+                        steps: node.steps,
+                        response: Some(alternative),
+                        path: push_path(&node.path, 1),
+                    };
+                    node.path = push_path(&node.path, 0);
+                    let mut acted_path = path.clone();
+                    acted_path.push(1);
+                    path.push(0);
+                    if self.threads > 1 && ctx.starving() {
+                        ctx.spawn(acted);
+                    } else if !fail.beats(&acted_path) {
+                        self.explore(acted, acted_path, ctx, fail, config);
                     }
-                    node.response = Some(Response::ReadResult(None));
                 }
-                Some(Request::Execute(job)) => {
-                    if let Some(measured) = self.overrun_of(&scheduler, &job) {
-                        // Branch: the callback overruns to C_HI —
-                        // within the Vestal envelope, so the AMC mode
-                        // switch it provokes must recover from every
-                        // crash point like any other behaviour.
-                        let overran = Node {
-                            scheduler: Some(scheduler.clone()),
-                            pre_trace: node.pre_trace.clone(),
-                            post_trace: node.post_trace.clone(),
-                            crash_at: node.crash_at,
-                            pre_completed: node.pre_completed,
-                            consumed: node.consumed.clone(),
-                            steps: node.steps,
-                            response: Some(Response::ExecutedIn(measured)),
-                            path: push_path(&node.path, 1),
-                        };
-                        node.path = push_path(&node.path, 0);
-                        let mut overran_path = path.clone();
-                        overran_path.push(1);
-                        path.push(0);
-                        if self.threads > 1 && ctx.starving() {
-                            ctx.spawn(overran);
-                        } else if !fail.beats(&overran_path) {
-                            self.explore(overran, overran_path, ctx, fail, config);
-                        }
-                    }
-                    node.response = Some(Response::Executed);
-                }
-                None => {}
+                node.response = Some(response);
             }
         }
-    }
-
-    /// The measured execution time the overrun branch reports for
-    /// `job`, when overrun branching applies: a mode policy is
-    /// installed, the task is HI-criticality, and its `C_HI` exceeds
-    /// the budget of the scheduler's *current* mode.
-    fn overrun_of(&self, scheduler: &Scheduler<FirstByteCodec>, job: &Job) -> Option<Duration> {
-        self.mode_policy?;
-        let task = self.config.tasks().task(job.task())?;
-        (task.criticality() == Criticality::Hi
-            && task.wcet_hi() > task.wcet_in_mode(scheduler.mode()))
-        .then(|| task.wcet_hi())
     }
 
     /// Replays the `Arc`-shared pre-crash markers into a fresh journal
@@ -572,7 +528,7 @@ impl CrashSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rossl_model::{Curve, Duration, Priority, Task, TaskId, TaskSet};
+    use rossl_model::{Criticality, Curve, Duration, Priority, Task, TaskId, TaskSet};
 
     fn config(n_sockets: usize) -> ClientConfig {
         let tasks = TaskSet::new(vec![

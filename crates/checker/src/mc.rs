@@ -20,6 +20,13 @@
 //! *correct* behaviour the checker must accept, at every placement
 //! against every read resolution.
 //!
+//! Both axes are one branching rule, shared with
+//! [`CrashSweep`](crate::CrashSweep): at each request it gives the
+//! response when the environment does nothing (digit 0, explored first)
+//! and, at a branch point, the alternative (digit 1). Both walks count a
+//! delivered message as consumed in the step whose `ReadEnd` receives
+//! it.
+//!
 //! Because the scheduler is a cloneable value, exploration is a plain
 //! tree walk over `(scheduler, environment)` snapshots — no
 //! instrumentation, process forking or unsafe trickery involved. Two
@@ -46,14 +53,15 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
-use rossl::{ClientConfig, FirstByteCodec, ModePolicy, Request, Response, Scheduler};
-use rossl_model::{Criticality, Duration, Job, MsgData};
+use rossl::{ClientConfig, FirstByteCodec, ModePolicy, Response, Scheduler};
+use rossl_model::MsgData;
 use rossl_par::{Ctx, Pool, Reduce};
 use rossl_trace::{check_functional, Marker, ProtocolAutomaton};
 
 use crate::monitor::SpecMonitor;
 use crate::shared::{
-    materialize_path, materialize_trace, push_path, push_trace, FailState, PathLink, TraceLink,
+    count_delivery, materialize_path, materialize_trace, push_path, push_trace, Choices,
+    FailState, PathLink, TraceLink,
 };
 
 /// Aggregate result of an exhaustive exploration.
@@ -142,7 +150,8 @@ struct ExploreNode {
     scheduler: Scheduler<FirstByteCodec>,
     monitor: SpecMonitor,
     trace: TraceLink,
-    /// Cursor into `pending` per socket.
+    /// Messages delivered per socket, counted at the `ReadEnd` that
+    /// receives each: the cursor into the pending queues.
     consumed: Vec<usize>,
     steps: usize,
     response: Option<Response>,
@@ -244,8 +253,8 @@ impl Reduce for ExploreAcc {
 #[derive(Debug, Clone)]
 pub struct ModelChecker {
     config: ClientConfig,
-    /// Messages that may arrive, per socket, in FIFO order.
-    pending: Vec<Vec<MsgData>>,
+    /// Messages that may arrive, per socket, and where the walk branches.
+    choices: Choices,
     max_steps: usize,
     /// Functional-correctness is checked against this task set; defaults
     /// to the scheduler's own. Tests use a divergent set to demonstrate
@@ -272,16 +281,12 @@ impl ModelChecker {
     ///
     /// Panics if `pending` has more entries than the configured socket
     /// count.
-    pub fn new(config: ClientConfig, mut pending: Vec<Vec<MsgData>>, max_steps: usize) -> ModelChecker {
-        assert!(
-            pending.len() <= config.n_sockets(),
-            "pending messages reference more sockets than configured"
-        );
-        pending.resize(config.n_sockets(), Vec::new());
+    pub fn new(config: ClientConfig, pending: Vec<Vec<MsgData>>, max_steps: usize) -> ModelChecker {
+        let choices = Choices::new(&config, pending);
         let spec_tasks = config.tasks().clone();
         ModelChecker {
             config,
-            pending,
+            choices,
             max_steps,
             spec_tasks,
             mode_policy: None,
@@ -512,6 +517,7 @@ impl ModelChecker {
                     return None;
                 }
             };
+            count_delivery(&mut node.consumed, &step.marker);
             node.trace = push_trace(&node.trace, step.marker.clone());
             if let Err(v) = node.monitor.observe(&step.marker) {
                 fail.record(
@@ -541,73 +547,34 @@ impl ModelChecker {
                 }
             }
 
-            match step.request {
-                Some(Request::Read(sock)) => {
-                    let cursor = node.consumed[sock.0];
-                    if let Some(msg) = self.pending[sock.0].get(cursor).cloned() {
-                        // Branch point: the message may have arrived
-                        // (digit 1) or not (digit 0, explored first).
-                        let mut delivered = ExploreNode {
-                            scheduler: node.scheduler.clone(),
-                            monitor: node.monitor.clone(),
-                            trace: node.trace.clone(),
-                            consumed: node.consumed.clone(),
-                            steps: node.steps,
-                            response: Some(Response::ReadResult(Some(msg))),
-                            path: push_path(&node.path, 1),
-                        };
-                        delivered.consumed[sock.0] += 1;
-                        node.response = Some(Response::ReadResult(None));
-                        node.path = push_path(&node.path, 0);
-                        match self.fork(
-                            node, delivered, path, ctx, fail, memo,
-                            &mut paths_below, &mut steps_below, &mut max_len, &mut clean,
-                        ) {
-                            Some((n, p)) => {
-                                node = n;
-                                path = p;
-                            }
-                            None => break,
+            if let Some(request) = step.request {
+                let (response, alternative) =
+                    self.choices.responses(request, &node.scheduler, &node.consumed);
+                node.response = Some(response);
+                if let Some(alternative) = alternative {
+                    // Branch point: the environment does nothing (digit
+                    // 0, explored first) or acts (digit 1).
+                    let acted = ExploreNode {
+                        scheduler: node.scheduler.clone(),
+                        monitor: node.monitor.clone(),
+                        trace: node.trace.clone(),
+                        consumed: node.consumed.clone(),
+                        steps: node.steps,
+                        response: Some(alternative),
+                        path: push_path(&node.path, 1),
+                    };
+                    node.path = push_path(&node.path, 0);
+                    match self.fork(
+                        node, acted, path, ctx, fail, memo,
+                        &mut paths_below, &mut steps_below, &mut max_len, &mut clean,
+                    ) {
+                        Some((n, p)) => {
+                            node = n;
+                            path = p;
                         }
-                    } else {
-                        // No message left on this socket: the read can
-                        // only fail — not a branch point.
-                        node.response = Some(Response::ReadResult(None));
+                        None => break,
                     }
                 }
-                Some(Request::Execute(job)) => {
-                    if let Some(measured) = self.overrun_of(&node, &job) {
-                        // Branch point: the callback completes within
-                        // budget (digit 0, explored first) or overruns
-                        // to C_HI (digit 1) — inside the Vestal
-                        // envelope, so the scheduler's AMC reaction is
-                        // correct behaviour, not a failure.
-                        let overran = ExploreNode {
-                            scheduler: node.scheduler.clone(),
-                            monitor: node.monitor.clone(),
-                            trace: node.trace.clone(),
-                            consumed: node.consumed.clone(),
-                            steps: node.steps,
-                            response: Some(Response::ExecutedIn(measured)),
-                            path: push_path(&node.path, 1),
-                        };
-                        node.response = Some(Response::Executed);
-                        node.path = push_path(&node.path, 0);
-                        match self.fork(
-                            node, overran, path, ctx, fail, memo,
-                            &mut paths_below, &mut steps_below, &mut max_len, &mut clean,
-                        ) {
-                            Some((n, p)) => {
-                                node = n;
-                                path = p;
-                            }
-                            None => break,
-                        }
-                    } else {
-                        node.response = Some(Response::Executed);
-                    }
-                }
-                None => {}
             }
         }
 
@@ -691,20 +658,6 @@ impl ModelChecker {
         None
     }
 
-    /// The measured execution time the overrun branch reports for
-    /// `job`, when overrun branching applies: a mode policy is
-    /// installed, the task is HI-criticality, and its `C_HI` exceeds
-    /// the budget of the scheduler's *current* mode. (In HI mode the
-    /// budget *is* `C_HI`, so an overrun branch there would only
-    /// duplicate the within-budget child.)
-    fn overrun_of(&self, node: &ExploreNode, job: &Job) -> Option<Duration> {
-        self.mode_policy?;
-        let task = self.config.tasks().task(job.task())?;
-        (task.criticality() == Criticality::Hi
-            && task.wcet_hi() > task.wcet_in_mode(node.scheduler.mode()))
-        .then(|| task.wcet_hi())
-    }
-
     /// The 128-bit state fingerprint deduplication keys on: scheduler
     /// state (canonical pending-queue digest, loop phase, counters,
     /// degradation), monitor abstract state, environment cursors, depth
@@ -748,7 +701,7 @@ impl ModelChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rossl_model::{Curve, Duration, Priority, Task, TaskId, TaskSet};
+    use rossl_model::{Criticality, Curve, Duration, Priority, Task, TaskId, TaskSet};
 
     fn tasks(prio0: u32, prio1: u32) -> TaskSet {
         TaskSet::new(vec![
