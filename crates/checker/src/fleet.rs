@@ -28,6 +28,8 @@
 //!   ([`FleetCheckError::LostShardJobs`] — the `dropped-failover`
 //!   oracle), and a manifest entry with no matching leftover is a
 //!   fabricated one ([`FleetCheckError::PhantomMigration`]).
+//!   Every manifest must also land: a successor segment that no history
+//!   has would swallow its jobs ([`FleetCheckError::MigrationToNowhere`]).
 //! * **Justification** — only dead shards may be migrated from
 //!   ([`FleetCheckError::UnjustifiedMigration`]): an unforced failover
 //!   is itself a bug, not resilience.
@@ -116,6 +118,16 @@ pub enum FleetCheckError {
         /// The unmatched dead-shard job id claimed by the manifest.
         job: JobId,
     },
+    /// A manifest names a successor segment that no history has: its
+    /// jobs would enter no pending set and vanish.
+    MigrationToNowhere {
+        /// The dead shard migrated from.
+        from_shard: usize,
+        /// The successor the manifest names.
+        to_shard: usize,
+        /// The successor segment the manifest names.
+        at_segment: usize,
+    },
 }
 
 impl fmt::Display for FleetCheckError {
@@ -137,6 +149,15 @@ impl fmt::Display for FleetCheckError {
             FleetCheckError::PhantomMigration { from_shard, job } => write!(
                 f,
                 "manifest migrates job {job} that shard {from_shard} never had pending"
+            ),
+            FleetCheckError::MigrationToNowhere {
+                from_shard,
+                to_shard,
+                at_segment,
+            } => write!(
+                f,
+                "manifest from shard {from_shard} targets segment {at_segment} of shard \
+                 {to_shard}, which no history has"
             ),
         }
     }
@@ -164,17 +185,23 @@ pub struct FleetReport {
 }
 
 /// Checks a fleet's per-shard histories against its migration
-/// manifests; see the [module docs](self) for the layers.
+/// manifests (DESIGN §10): per shard, the stitched functional, seam and
+/// consumed-message checks, with each manifest's jobs admitted at its
+/// migration seam; across shards, conservation of every dead shard's
+/// unfinished jobs; and the protocol, per segment.
 ///
 /// Every shard is assumed to run the same `tasks` / `n_sockets`
 /// configuration, as the fleet constructor enforces.
 ///
 /// # Errors
 ///
-/// Returns the first [`FleetCheckError`] found, checking per-shard
-/// functional/seam layers first (so a forged migration is diagnosed as
-/// the dispatch-of-nonpending it causes), then cross-shard
-/// conservation, then per-segment protocol.
+/// Returns the first [`FleetCheckError`] found. Manifests from live
+/// shards are rejected first; then come the per-shard functional/seam
+/// layers (so a forged migration is diagnosed as the
+/// dispatch-of-nonpending it causes), then cross-shard conservation,
+/// which ends by rejecting a manifest whose successor segment no history
+/// has ([`FleetCheckError::MigrationToNowhere`]), then per-segment
+/// protocol.
 pub fn check_fleet(
     shards: &[ShardHistory],
     manifests: &[MigrationManifest],
@@ -238,6 +265,20 @@ pub fn check_fleet(
                 jobs: left.keys().copied().collect(),
             });
         }
+    }
+    // Each manifest's jobs must land in a pending set: its successor
+    // segment must exist.
+    let lands = |m: &MigrationManifest| {
+        shards
+            .iter()
+            .any(|s| s.shard == m.to_shard && m.at_segment < s.segments.len())
+    };
+    if let Some(m) = manifests.iter().find(|m| !lands(m)) {
+        return Err(FleetCheckError::MigrationToNowhere {
+            from_shard: m.from_shard,
+            to_shard: m.to_shard,
+            at_segment: m.at_segment,
+        });
     }
 
     // Protocol: each segment independently, from the initial state.
@@ -493,6 +534,97 @@ mod tests {
         }];
         let err = check_fleet(&shards, &manifests, &tasks(), 1).unwrap_err();
         assert!(matches!(err, FleetCheckError::PhantomMigration { .. }));
+    }
+
+    /// A polling round that finds nothing, then idles.
+    fn idle() -> Vec<Marker> {
+        let mut t = read_fail();
+        t.push(Marker::Selection);
+        t.push(Marker::Idling);
+        t
+    }
+
+    /// Shard 0 dies with job 7 pending; shard 1 runs two segments, the
+    /// second one `successor_tail`.
+    fn dead_shard_and_successor(successor_tail: Vec<Marker>) -> [ShardHistory; 2] {
+        [
+            ShardHistory {
+                shard: 0,
+                segments: vec![accept_and_die(job(7))],
+                consumed: vec![1],
+                dead: true,
+            },
+            ShardHistory {
+                shard: 1,
+                segments: vec![accept_and_complete(job(0)), successor_tail],
+                consumed: vec![1],
+                dead: false,
+            },
+        ]
+    }
+
+    fn migrate_job_7(to_shard: usize, at_segment: usize) -> [MigrationManifest; 1] {
+        [MigrationManifest {
+            from_shard: 0,
+            to_shard,
+            at_segment,
+            moved: vec![MigratedJob {
+                old: JobId(7),
+                job: Job::new(JobId(100), TaskId(0), vec![0, 7]),
+            }],
+        }]
+    }
+
+    #[test]
+    fn migration_to_a_shard_without_history_is_rejected() {
+        let shards = dead_shard_and_successor(idle());
+        let err = check_fleet(&shards, &migrate_job_7(9, 1), &tasks(), 1).unwrap_err();
+        assert_eq!(
+            err,
+            FleetCheckError::MigrationToNowhere {
+                from_shard: 0,
+                to_shard: 9,
+                at_segment: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn migration_past_the_successors_last_segment_is_rejected() {
+        let shards = dead_shard_and_successor(idle());
+        let err = check_fleet(&shards, &migrate_job_7(1, 5), &tasks(), 1).unwrap_err();
+        assert_eq!(
+            err,
+            FleetCheckError::MigrationToNowhere {
+                from_shard: 0,
+                to_shard: 1,
+                at_segment: 5,
+            }
+        );
+        // The same job admitted at an existing seam is still pending when
+        // the successor idles.
+        let err = check_fleet(&shards, &migrate_job_7(1, 1), &tasks(), 1).unwrap_err();
+        assert!(matches!(
+            err,
+            FleetCheckError::Shard {
+                shard: 1,
+                error: StitchedError::Functional {
+                    segment: 1,
+                    error: FunctionalError::IdleWithPendingJobs { index: 3, .. },
+                },
+            }
+        ));
+    }
+
+    #[test]
+    fn empty_last_segment_still_admits_migrated_jobs() {
+        let shards = dead_shard_and_successor(Vec::new());
+        let report = check_fleet(&shards, &migrate_job_7(1, 1), &tasks(), 1).expect("fleet checks");
+        assert_eq!(report.migrated_jobs, 1);
+        assert_eq!(report.jobs_completed, 1);
+        // Job 7's leftover on the dead shard, and its migrated copy
+        // pending on the successor.
+        assert_eq!(report.jobs_pending_at_end, 2);
     }
 
     #[test]
