@@ -11,7 +11,8 @@
 //!    hand-rolled parser.
 //! 2. **Zero overruns in the model**: checking every attributed job
 //!    against the allowances carved from the Prosa analysis
-//!    ([`prosa::term_allowances`]) raises no [`TermOverrun`] — the
+//!    ([`prosa::term_allowances`]) raises no
+//!    [`TermOverrun`](rossl_obs::TermOverrun) — the
 //!    per-term claim inherits the scalar bound's in-model soundness.
 //! 3. **Correct-term blame**: shrinking one task's execution allowance
 //!    (the allowances a reduced-WCET analysis would prove) makes every

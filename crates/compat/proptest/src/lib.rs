@@ -1,7 +1,7 @@
 //! Offline stand-in for `proptest` (see `crates/compat/README.md`).
 //!
 //! Implements the subset this workspace uses: the [`proptest!`] /
-//! [`prop_assert!`] / [`prop_oneof!`] macros, the [`Strategy`] trait
+//! [`prop_assert!`] / [`prop_oneof!`] macros, the [`Strategy`](strategy::Strategy) trait
 //! with `prop_map` / `prop_filter` / `new_tree`, range and tuple
 //! strategies, [`collection::vec`], [`option::of`], [`bool::ANY`] and
 //! [`strategy::Just`].
@@ -233,7 +233,8 @@ pub mod strategy {
         }
     }
 
-    /// Uniform choice between same-valued strategies ([`prop_oneof!`]).
+    /// Uniform choice between same-valued strategies
+    /// ([`prop_oneof!`](crate::prop_oneof)).
     pub struct Union<T> {
         branches: Vec<Rc<dyn Fn(&mut TestRng) -> T>>,
     }
@@ -262,7 +263,8 @@ pub mod strategy {
         }
     }
 
-    /// Boxes a strategy into a [`Union`] branch (used by [`prop_oneof!`]).
+    /// Boxes a strategy into a [`Union`] branch (used by
+    /// [`prop_oneof!`](crate::prop_oneof)).
     pub fn branch<S>(s: S) -> Rc<dyn Fn(&mut TestRng) -> S::Value>
     where
         S: Strategy + 'static,
@@ -321,7 +323,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// An exact or ranged element count for [`vec`].
+    /// An exact or ranged element count for [`vec`](fn@vec).
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
@@ -363,7 +365,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec`](fn@vec).
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -109,8 +109,8 @@ pub struct JobAttribution {
 }
 
 impl JobAttribution {
-    /// Sum of the shard-clock terms; equals [`observed`]
-    /// (JobAttribution::observed) for every attributed job — the E23
+    /// Sum of the shard-clock terms; equals
+    /// [`observed`](JobAttribution::observed) for every attributed job — the E23
     /// exactness invariant.
     pub fn attributed_total(&self) -> u64 {
         self.jitter

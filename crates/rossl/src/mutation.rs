@@ -25,7 +25,8 @@
 use std::fmt;
 
 /// A deliberately seeded scheduler/journal bug, used only by mutation
-/// testing. See the [module docs](self) for the bug-to-oracle matrix.
+/// testing. The module source tabulates which fuzz oracle detects each
+/// bug.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SeededBug {
     /// The selection phase dequeues the highest-priority job, puts it

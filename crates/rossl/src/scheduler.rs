@@ -298,7 +298,7 @@ impl<C: MessageCodec> Scheduler<C> {
     ///
     /// The scheduler accumulates plain-integer step counts locally and
     /// flushes them to the sink at idle decisions and completions,
-    /// roughly every [`TELEMETRY_FLUSH_EVERY`] steps — so enabling
+    /// roughly every `TELEMETRY_FLUSH_EVERY` steps — so enabling
     /// telemetry adds no atomic operation to the per-step path. Call
     /// [`Scheduler::flush_telemetry`] when a drive loop ends to push
     /// the final partial batch.

@@ -2,7 +2,7 @@
 //!
 //! Two halves, one determinism contract:
 //!
-//! * **Generation** ([`generator`], [`uunifast`], [`weibull`]) — draws
+//! * **Generation** ([`generator`], [`uunifast`](mod@uunifast), [`weibull`]) — draws
 //!   task sets the way the RTA evaluation literature does: per-task
 //!   utilizations from UUniFast's uniform simplex sampler, log-uniform
 //!   periods, Weibull-inflated HI budgets, and periodic / sporadic /
