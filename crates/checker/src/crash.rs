@@ -45,8 +45,8 @@ use rossl_par::{Ctx, Pool, Reduce};
 use rossl_trace::{check_stitched, Marker, StitchedTrace};
 
 use crate::shared::{
-    count_delivery, materialize_path, materialize_trace, push_path, push_trace, Choices,
-    FailState, PathLink, TraceLink,
+    count_delivery, materialize_path, materialize_trace, push_path, push_trace, Choices, FailState,
+    PathLink, TraceLink,
 };
 
 /// Aggregate result of a crash-point sweep.

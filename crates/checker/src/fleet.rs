@@ -225,10 +225,12 @@ pub fn check_fleet(
     let mut leftovers: BTreeMap<usize, BTreeMap<JobId, Job>> = BTreeMap::new();
 
     for shard in shards {
-        let (pending, completed) = check_one_shard(shard, manifests, tasks, n_sockets)
-            .map_err(|error| FleetCheckError::Shard {
-                shard: shard.shard,
-                error,
+        let (pending, completed) =
+            check_one_shard(shard, manifests, tasks, n_sockets).map_err(|error| {
+                FleetCheckError::Shard {
+                    shard: shard.shard,
+                    error,
+                }
             })?;
         jobs_completed += completed;
         jobs_pending_at_end += pending.len();

@@ -60,8 +60,8 @@ use rossl_trace::{check_functional, Marker, ProtocolAutomaton};
 
 use crate::monitor::SpecMonitor;
 use crate::shared::{
-    count_delivery, materialize_path, materialize_trace, push_path, push_trace, Choices,
-    FailState, PathLink, TraceLink,
+    count_delivery, materialize_path, materialize_trace, push_path, push_trace, Choices, FailState,
+    PathLink, TraceLink,
 };
 
 /// Aggregate result of an exhaustive exploration.
@@ -549,7 +549,8 @@ impl ModelChecker {
 
             if let Some(request) = step.request {
                 let (response, alternative) =
-                    self.choices.responses(request, &node.scheduler, &node.consumed);
+                    self.choices
+                        .responses(request, &node.scheduler, &node.consumed);
                 node.response = Some(response);
                 if let Some(alternative) = alternative {
                     // Branch point: the environment does nothing (digit

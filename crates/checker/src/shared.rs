@@ -78,9 +78,8 @@ impl Choices {
 fn overrun_of(scheduler: &Scheduler<FirstByteCodec>, job: &Job) -> Option<Duration> {
     scheduler.mode_policy()?;
     let task = scheduler.config().tasks().task(job.task())?;
-    (task.criticality() == Criticality::Hi
-        && task.wcet_hi() > task.wcet_in_mode(scheduler.mode()))
-    .then(|| task.wcet_hi())
+    (task.criticality() == Criticality::Hi && task.wcet_hi() > task.wcet_in_mode(scheduler.mode()))
+        .then(|| task.wcet_hi())
 }
 
 /// Counts a delivered message as consumed in the step whose `ReadEnd`

@@ -339,10 +339,12 @@ impl<'t> StitchedCheck<'t> {
     /// Returns [`FunctionalError::DuplicateJobId`] or
     /// [`FunctionalError::UnknownTask`] at index 0.
     pub fn admit(&mut self, job: &Job) -> Result<(), StitchedError> {
-        self.functional.admit(0, job).map_err(|error| StitchedError::Functional {
-            segment: self.segment,
-            error,
-        })
+        self.functional
+            .admit(0, job)
+            .map_err(|error| StitchedError::Functional {
+                segment: self.segment,
+                error,
+            })
     }
 
     /// Extends the checked history by `marker`, the current segment's
