@@ -10,20 +10,15 @@
 //! * **Per shard** — every shard's segments must pass the same three
 //!   layers as a crashing single scheduler (per-segment protocol,
 //!   cross-segment functional correctness, per-socket consumed-message
-//!   accounting): each shard runs the same
-//!   [`StitchedCheck`](rossl_trace::StitchedCheck) step as
-//!   [`rossl_trace::check_stitched`]. The one addition is admission:
-//!   jobs re-pended by a manifest enter the successor's pending set at
-//!   the migration seam, at index 0 of that segment, before its first
-//!   marker — without the manifest their dispatches would be
-//!   `DispatchOfNonPending`, which is exactly what makes a forged
-//!   migration detectable.
+//!   accounting), through the same [`StitchedCheck`] step, except that
+//!   jobs re-pended by a manifest are admitted into the successor's
+//!   pending set at the migration seam — without the manifest their
+//!   dispatches would be `DispatchOfNonPending`, which is exactly what
+//!   makes a forged migration detectable.
 //! * **Conservation across the seam** — for each dead shard, the set of
 //!   jobs accepted but not completed on its committed history must
-//!   *equal* the set migrated away (matched by task and payload, where a
-//!   leftover's payload is the last one its history gave its id: the
-//!   read's, or the dispatch's for a job in flight or whose dispatch a
-//!   restart voided, or the manifest's for a job migrated in): a
+//!   *equal* the set migrated away (matched by task and the last payload
+//!   the history gave the id): a
 //!   leftover job with no manifest entry is a lost job
 //!   ([`FleetCheckError::LostShardJobs`] — the `dropped-failover`
 //!   oracle), and a manifest entry with no matching leftover is a
@@ -538,18 +533,15 @@ mod tests {
         assert!(matches!(err, FleetCheckError::PhantomMigration { .. }));
     }
 
-    /// A polling round that finds nothing, then idles.
-    fn idle() -> Vec<Marker> {
-        let mut t = read_fail();
-        t.push(Marker::Selection);
-        t.push(Marker::Idling);
-        t
-    }
-
-    /// Shard 0 dies with job 7 pending; shard 1 runs two segments, the
-    /// second one `successor_tail`.
-    fn dead_shard_and_successor(successor_tail: Vec<Marker>) -> [ShardHistory; 2] {
-        [
+    /// Shard 0 dies with job 7 pending, and a manifest moves it to
+    /// segment `at` of shard `to`. Shard 1 runs two segments, the second
+    /// one `tail`.
+    fn migrate_job_7(
+        to: usize,
+        at: usize,
+        tail: Vec<Marker>,
+    ) -> Result<FleetReport, FleetCheckError> {
+        let shards = [
             ShardHistory {
                 shard: 0,
                 segments: vec![accept_and_die(job(7))],
@@ -558,56 +550,41 @@ mod tests {
             },
             ShardHistory {
                 shard: 1,
-                segments: vec![accept_and_complete(job(0)), successor_tail],
+                segments: vec![accept_and_complete(job(0)), tail],
                 consumed: vec![1],
                 dead: false,
             },
-        ]
-    }
-
-    fn migrate_job_7(to_shard: usize, at_segment: usize) -> [MigrationManifest; 1] {
-        [MigrationManifest {
+        ];
+        let manifests = [MigrationManifest {
             from_shard: 0,
-            to_shard,
-            at_segment,
+            to_shard: to,
+            at_segment: at,
             moved: vec![MigratedJob {
                 old: JobId(7),
                 job: Job::new(JobId(100), TaskId(0), vec![0, 7]),
             }],
-        }]
+        }];
+        check_fleet(&shards, &manifests, &tasks(), 1)
     }
 
     #[test]
-    fn migration_to_a_shard_without_history_is_rejected() {
-        let shards = dead_shard_and_successor(idle());
-        let err = check_fleet(&shards, &migrate_job_7(9, 1), &tasks(), 1).unwrap_err();
-        assert_eq!(
-            err,
-            FleetCheckError::MigrationToNowhere {
-                from_shard: 0,
-                to_shard: 9,
-                at_segment: 1,
-            }
-        );
-    }
-
-    #[test]
-    fn migration_past_the_successors_last_segment_is_rejected() {
-        let shards = dead_shard_and_successor(idle());
-        let err = check_fleet(&shards, &migrate_job_7(1, 5), &tasks(), 1).unwrap_err();
-        assert_eq!(
-            err,
-            FleetCheckError::MigrationToNowhere {
-                from_shard: 0,
-                to_shard: 1,
-                at_segment: 5,
-            }
-        );
-        // The same job admitted at an existing seam is still pending when
-        // the successor idles.
-        let err = check_fleet(&shards, &migrate_job_7(1, 1), &tasks(), 1).unwrap_err();
+    fn migration_into_no_history_is_rejected() {
+        let mut idle = read_fail();
+        idle.extend([Marker::Selection, Marker::Idling]);
+        for (to_shard, at_segment) in [(9, 1), (1, 5)] {
+            assert_eq!(
+                migrate_job_7(to_shard, at_segment, idle.clone()).unwrap_err(),
+                FleetCheckError::MigrationToNowhere {
+                    from_shard: 0,
+                    to_shard,
+                    at_segment,
+                }
+            );
+        }
+        // At an existing seam the job is admitted, and still pending when
+        // shard 1 idles.
         assert!(matches!(
-            err,
+            migrate_job_7(1, 1, idle).unwrap_err(),
             FleetCheckError::Shard {
                 shard: 1,
                 error: StitchedError::Functional {
@@ -620,12 +597,10 @@ mod tests {
 
     #[test]
     fn empty_last_segment_still_admits_migrated_jobs() {
-        let shards = dead_shard_and_successor(Vec::new());
-        let report = check_fleet(&shards, &migrate_job_7(1, 1), &tasks(), 1).expect("fleet checks");
+        let report = migrate_job_7(1, 1, Vec::new()).expect("fleet checks");
         assert_eq!(report.migrated_jobs, 1);
-        assert_eq!(report.jobs_completed, 1);
-        // Job 7's leftover on the dead shard, and its migrated copy
-        // pending on the successor.
+        // Job 7's leftover on shard 0, and its migrated copy pending on
+        // shard 1.
         assert_eq!(report.jobs_pending_at_end, 2);
     }
 

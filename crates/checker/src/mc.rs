@@ -21,11 +21,8 @@
 //! against every read resolution.
 //!
 //! Both axes are one branching rule, shared with
-//! [`CrashSweep`](crate::CrashSweep): at each request it gives the
-//! response when the environment does nothing (digit 0, explored first)
-//! and, at a branch point, the alternative (digit 1). Both walks count a
-//! delivered message as consumed in the step whose `ReadEnd` receives
-//! it.
+//! [`CrashSweep`](crate::CrashSweep), and both walks count a delivered
+//! message as consumed in the step whose `ReadEnd` receives it.
 //!
 //! Because the scheduler is a cloneable value, exploration is a plain
 //! tree walk over `(scheduler, environment)` snapshots — no

@@ -42,16 +42,9 @@ impl Choices {
     /// [`count_delivery`]). The first response is the environment doing
     /// nothing (digit 0, explored first): the read finds no message, the
     /// callback completes within budget. The second is the alternative
-    /// (digit 1) at a branch point:
-    ///
-    /// * a read whose socket has a message left receives it;
-    /// * an execution overruns to `C_HI` when the scheduler runs a mode
-    ///   policy, the task is HI-criticality, and its `C_HI` exceeds the
-    ///   budget of the scheduler's *current* mode. (In HI mode the
-    ///   budget *is* `C_HI`, so an overrun branch there would only
-    ///   duplicate the within-budget child.) The overrun stays inside
-    ///   the Vestal envelope, so the AMC reaction it provokes is correct
-    ///   behaviour, not a failure.
+    /// (digit 1) at a branch point: a read whose socket has a message
+    /// left receives it, and an execution may overrun to `C_HI` (see
+    /// [`overrun_of`]).
     pub(crate) fn responses(
         &self,
         request: Request,
@@ -74,7 +67,12 @@ impl Choices {
 }
 
 /// The measured execution time of `job`'s overrun branch, when overrun
-/// branching applies (see [`Choices::responses`]).
+/// branching applies: the scheduler runs a mode policy, the task is
+/// HI-criticality, and its `C_HI` exceeds the budget of the scheduler's
+/// *current* mode. (In HI mode the budget *is* `C_HI`, so an overrun
+/// branch there would only duplicate the within-budget child.) The
+/// overrun stays inside the Vestal envelope, so the AMC reaction it
+/// provokes is correct behaviour, not a failure.
 fn overrun_of(scheduler: &Scheduler<FirstByteCodec>, job: &Job) -> Option<Duration> {
     scheduler.mode_policy()?;
     let task = scheduler.config().tasks().task(job.task())?;

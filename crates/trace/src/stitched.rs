@@ -35,13 +35,9 @@
 //!     journal commit has consumed input invisibly, and only this
 //!     external accounting can tell.
 //!
-//! [`StitchedCheck`] is the step that carries the functional check
-//! across seams and adds the seam rules; [`check_stitched`] is a loop
-//! over it. The seam rules run before the functional step, so a
-//! completed job's dispatch is a [`SeamViolation::DuplicateDispatch`]
-//! rather than a `DispatchOfNonPending`. The fleet checker in
-//! `rossl-verify` runs the same step per shard and admits migrated jobs
-//! through [`StitchedCheck::admit`].
+//! [`check_stitched`] is a loop over [`StitchedCheck`], the step that
+//! carries the functional check across seams and adds the seam rules;
+//! the fleet checker in `rossl-verify` runs the same step per shard.
 //!
 //! [`check_stitched`] evaluates the functional and seam layers before
 //! the per-segment protocol layer, so forged or corrupted recoveries are
@@ -278,16 +274,12 @@ pub fn check_stitched(
     Ok(check.finish())
 }
 
-/// Def. 3.2 carried across crash seams, one marker at a time:
-/// [`check_stitched`] is a loop over [`StitchedCheck::push`] and
-/// [`StitchedCheck::restart`], followed by
-/// [`StitchedCheck::check_consumed`].
+/// Def. 3.2 carried across crash seams, one marker at a time.
 ///
-/// The step wraps a [`FunctionalCheck`] that runs over every segment in
-/// order, so the pending set, job-id uniqueness and the criticality mode
-/// carry across seams. On top of it the step keeps the seam rules: the
-/// completed jobs ([`SeamViolation::DuplicateDispatch`],
-/// [`SeamViolation::DuplicateCompletion`]), the job in flight, whose
+/// One [`FunctionalCheck`] runs over every segment in order, so the
+/// pending set, job-id uniqueness and the criticality mode carry across
+/// seams. On top of it the step keeps the seam rules: the completed jobs
+/// (checked before the functional step), the job in flight, whose
 /// dispatch a restart voids, the re-dispatch list and the successful
 /// reads per socket. Error indices count from the start of the current
 /// segment.
