@@ -18,11 +18,10 @@
 //! * **Conservation across the seam** — for each dead shard, the set of
 //!   jobs accepted but not completed on its committed history must
 //!   *equal* the set migrated away (matched by task and the last payload
-//!   the history gave the id): a
-//!   leftover job with no manifest entry is a lost job
-//!   ([`FleetCheckError::LostShardJobs`] — the `dropped-failover`
-//!   oracle), and a manifest entry with no matching leftover is a
-//!   fabricated one ([`FleetCheckError::PhantomMigration`]).
+//!   the history gave the id): a leftover job with no manifest entry is a
+//!   lost job ([`FleetCheckError::LostShardJobs`] — the
+//!   `dropped-failover` oracle), and a manifest entry with no matching
+//!   leftover is a fabricated one ([`FleetCheckError::PhantomMigration`]).
 //!   Every manifest must also land: a successor segment that no history
 //!   has would swallow its jobs ([`FleetCheckError::MigrationToNowhere`]).
 //! * **Justification** — only dead shards may be migrated from
