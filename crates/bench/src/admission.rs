@@ -223,8 +223,8 @@ pub fn exp_admission(smoke: bool) -> String {
     let _ = writeln!(
         out,
         "differential: {differential_queries} queries, 0 mismatches, {sweep_secs:.1}s; \
-         solver memo: {} set hits / {} task hits / {} task misses",
-        solver.set_hits, solver.task_hits, solver.task_misses
+         set memo: {} set hits / {} set misses",
+        solver.set_hits, solver.set_misses
     );
     let _ = writeln!(
         out,
@@ -320,8 +320,7 @@ pub fn exp_admission(smoke: bool) -> String {
         concat!(
             "{{\n  \"experiment\": \"E24\",\n  \"smoke\": {},\n",
             "  \"differential\": {{\"queries\": {}, \"mismatches\": 0, \"seconds\": {:.2},\n",
-            "    \"solver\": {{\"set_hits\": {}, \"set_misses\": {}, \"task_hits\": {}, ",
-            "\"task_misses\": {}, \"supplies_built\": {}}}}},\n",
+            "    \"solver\": {{\"set_hits\": {}, \"set_misses\": {}}}}},\n",
             "  \"simulation\": {{\"jobs\": {}, \"bound_violations\": 0}},\n",
             "  \"throughput\": {{\"warm_probes\": {}, \"queries_per_sec\": {:.0}}},\n",
             "  \"speedup\": {{\"cycles\": {}, \"incremental_secs\": {:.4}, ",
@@ -333,9 +332,6 @@ pub fn exp_admission(smoke: bool) -> String {
         sweep_secs,
         solver.set_hits,
         solver.set_misses,
-        solver.task_hits,
-        solver.task_misses,
-        solver.supplies_built,
         total_sim_jobs,
         warm_probes,
         qps,

@@ -152,12 +152,6 @@ pub struct AnalysisResult {
 }
 
 impl AnalysisResult {
-    /// Assembles a result from per-task bounds (in task order). Crate
-    /// internal: the incremental solver builds results task by task.
-    pub(crate) fn from_bounds(bounds: Vec<TaskBound>) -> AnalysisResult {
-        AnalysisResult { bounds }
-    }
-
     /// The per-task bounds, in task order.
     pub fn bounds(&self) -> &[TaskBound] {
         &self.bounds

@@ -67,7 +67,7 @@ pub use analysis::{
 pub use blackout::BlackoutBound;
 pub use curves::{max_release_jitter, rbf, ReleaseCurve};
 pub use incremental::{
-    curve_fingerprint, release_curve_fingerprint, set_fingerprint, IncrementalSolver, SolverStats,
+    curve_fingerprint, memo_insert, set_fingerprint, IncrementalSolver, SolverStats, MEMO_CAPACITY,
 };
 pub use sbf::{IdealSupply, RosslSupply, SupplyBound};
 pub use schedulability::{breakdown_scale, check_schedulability, scale_wcets, Schedulability, TaskVerdict};

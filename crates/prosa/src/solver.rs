@@ -104,22 +104,11 @@ const MAX_ITERATIONS: usize = 100_000;
 /// solver call the same `(task, Δ)` pairs recur across iterations and
 /// across offsets (the busy-window loop and all per-offset start-time
 /// loops probe overlapping windows).
-pub(crate) enum BetaMemo<'m> {
+enum BetaMemo {
     /// No memoization: the reference path kept for differential testing.
     Off,
     /// A memo scoped to one solver call, keyed by task id — the default.
     PerCall(RefCell<HashMap<(TaskId, Duration), u64>>),
-    /// A memo shared **across** solver calls and task sets, keyed by the
-    /// release curve's content fingerprint instead of the task id.
-    /// `β` is a pure function of the curve alone, so fingerprint-keyed
-    /// sharing returns bit-identical values — this is what lets the
-    /// incremental solver reuse curve work between admission queries.
-    Shared {
-        /// `fps[i]` fingerprints `curves[i]`.
-        fps: &'m [u128],
-        /// The cross-call memo, owned by the incremental solver.
-        memo: &'m RefCell<HashMap<(u128, u64), u64>>,
-    },
 }
 
 struct Ctx<'a, S> {
@@ -127,7 +116,7 @@ struct Ctx<'a, S> {
     curves: &'a [ReleaseCurve],
     supply: &'a S,
     horizon: Duration,
-    beta_memo: BetaMemo<'a>,
+    beta_memo: BetaMemo,
 }
 
 impl<S: SupplyBound> Ctx<'_, S> {
@@ -140,15 +129,6 @@ impl<S: SupplyBound> Ctx<'_, S> {
                 }
                 let value = self.curves[task.0].max_arrivals(delta);
                 cache.borrow_mut().insert((task, delta), value);
-                value
-            }
-            BetaMemo::Shared { fps, memo } => {
-                let key = (fps[task.0], delta.0);
-                if let Some(&cached) = memo.borrow().get(&key) {
-                    return cached;
-                }
-                let value = self.curves[task.0].max_arrivals(delta);
-                memo.borrow_mut().insert(key, value);
                 value
             }
         }
@@ -263,32 +243,6 @@ pub fn npfp_response_time(
     )
 }
 
-/// [`npfp_response_time`] with a **cross-call** `β` memo keyed by curve
-/// fingerprint (see [`BetaMemo::Shared`]). Bit-identical results — `β`
-/// depends only on the curve, which the fingerprint captures — but curve
-/// work done for one task set is reused for every later set that shares
-/// curves, which is what the incremental admission solver banks on.
-///
-/// `fps[i]` must fingerprint `curves[i]` (content fingerprints, e.g.
-/// [`crate::incremental::release_curve_fingerprint`]); collisions would
-/// silently corrupt results, so callers use 128-bit fingerprints.
-///
-/// # Errors
-///
-/// As [`npfp_response_time`].
-pub(crate) fn solve_shared(
-    tasks: &TaskSet,
-    curves: &[ReleaseCurve],
-    supply: &impl SupplyBound,
-    task: TaskId,
-    horizon: Duration,
-    fps: &[u128],
-    memo: &RefCell<HashMap<(u128, u64), u64>>,
-) -> Result<Duration, SolverError> {
-    debug_assert_eq!(fps.len(), curves.len());
-    solve(tasks, curves, supply, task, horizon, BetaMemo::Shared { fps, memo })
-}
-
 /// The memoization-free reference path of [`npfp_response_time`]: bit-for
 /// bit the same recurrence, re-evaluating every curve instead of caching.
 /// Exists so regression tests and benchmarks can difference the memoized
@@ -313,7 +267,7 @@ fn solve(
     supply: &impl SupplyBound,
     task: TaskId,
     horizon: Duration,
-    beta_memo: BetaMemo<'_>,
+    beta_memo: BetaMemo,
 ) -> Result<Duration, SolverError> {
     if curves.len() != tasks.len() {
         return Err(SolverError::CurveCountMismatch {

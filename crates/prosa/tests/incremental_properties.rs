@@ -1,21 +1,17 @@
 //! Property tests for [`prosa::IncrementalSolver`]: over arbitrary
-//! add / remove / mutate query sequences, the incremental path must be
+//! add / remove / mutate query sequences, the memoized path must be
 //! **bit-identical** to a from-scratch [`prosa::analyse`] after every
-//! step — bounds and errors alike, including [`SolverError::Divergent`]
-//! verdicts served from (and re-tagged by) the per-task memo.
+//! step, bounds and errors alike.
 
 use proptest::prelude::*;
-use prosa::{
-    analyse, npfp_response_time, AnalysisParams, IncrementalSolver, ReleaseCurve, RtaError,
-    SolverError, SupplyBound,
-};
+use prosa::{analyse, AnalysisParams, IncrementalSolver};
 use rossl_model::{Curve, Duration, Priority, Task, TaskId, TaskSet, WcetTable};
 
 /// One task as the strategies draw it: (priority, wcet, min inter-arrival).
 type Spec = (u32, u64, u64);
 
-fn task_set(specs: &[Spec]) -> TaskSet {
-    TaskSet::new(
+fn params(specs: &[Spec]) -> AnalysisParams {
+    let tasks = TaskSet::new(
         specs
             .iter()
             .enumerate()
@@ -30,31 +26,22 @@ fn task_set(specs: &[Spec]) -> TaskSet {
             })
             .collect(),
     )
-    .expect("specs are dense, non-empty, with non-zero wcets")
-}
-
-fn params(specs: &[Spec]) -> AnalysisParams {
-    AnalysisParams::new(task_set(specs), WcetTable::example(), 1)
+    .expect("specs are dense, non-empty, with non-zero wcets");
+    AnalysisParams::new(tasks, WcetTable::example(), 1)
         .expect("example WCET table and one socket are valid")
 }
 
 /// Applies one encoded delta to the working set, keeping it non-empty
-/// and boundedly sized. Returns whether the delta changed anything.
-fn apply_delta<T: Copy + PartialEq>(state: &mut Vec<T>, op: u8, slot: usize, spec: T) -> bool {
+/// and boundedly sized.
+fn apply_delta(state: &mut Vec<Spec>, op: u8, slot: usize, spec: Spec) {
     match op {
-        0 if state.len() < 5 => {
-            state.push(spec);
-            true
-        }
+        0 if state.len() < 5 => state.push(spec),
         1 if state.len() > 1 => {
             state.remove(slot % state.len());
-            true
         }
         _ => {
             let i = slot % state.len();
-            let changed = state[i] != spec;
             state[i] = spec;
-            changed
         }
     }
 }
@@ -95,123 +82,6 @@ proptest! {
             let hits_before = inc.stats().set_hits;
             prop_assert_eq!(&inc.analyse(&q, horizon), &scratch);
             prop_assert_eq!(inc.stats().set_hits, hits_before + 1);
-        }
-    }
-}
-
-/// The deliberately broken supply from the solver's divergence test: its
-/// inverse always answers with a strictly larger window, so any task
-/// whose demand keeps pace with the window diverges at the iteration cap.
-struct RunawaySupply;
-
-impl SupplyBound for RunawaySupply {
-    fn sbf(&self, _delta: Duration) -> Duration {
-        Duration::ZERO
-    }
-
-    fn inverse(&self, supply: Duration, _cap: Duration) -> Option<Duration> {
-        Some(supply.saturating_add(Duration(1)))
-    }
-}
-
-/// Marker fingerprint for [`RunawaySupply`]; any constant works as long
-/// as it is held fixed while the supply's behaviour is.
-const RUNAWAY_FP: u128 = 0x52554e41_57415921;
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Verdict parity holds **across `SolverError::Divergent`**: under a
-    /// runaway supply, the set flips between converging (all periods
-    /// loose) and diverging (a tight utilization-1 task first in task
-    /// order) as mutations land, and after each mutation the memoized
-    /// pipeline agrees with per-task [`npfp_response_time`] — same bounds
-    /// when every task converges, the same first-in-task-order error
-    /// (with the correct task id) when the tight task diverges.
-    fn divergent_verdicts_survive_the_memo(
-        initial in proptest::collection::vec((TASK, 1u64..8, proptest::bool::ANY), 1..4),
-        deltas in proptest::collection::vec(
-            (0u8..3, 0usize..8, (TASK, 1u64..8, proptest::bool::ANY)),
-            1..6,
-        ),
-    ) {
-        // Demand slope discipline: under the runaway inverse, iterates
-        // creep only if aggregate higher-or-equal-priority utilization is
-        // exactly 1 — any excess compounds the iterates exponentially
-        // until they saturate, and any shortfall converges. So when any
-        // drawn flag asks for divergence, task 0 alone is made tight
-        // (period = WCET, top priority: its busy window sees only itself
-        // plus constant blocking, creeping +C per iterate into the cap),
-        // and every other task stays loose (period = 16·C, so all-loose
-        // sets keep total utilization ≤ 5/16 and genuinely converge).
-        let materialize = |specs: &[(u32, u64, bool)]| -> Vec<Spec> {
-            let any_tight = specs.iter().any(|&(_, _, t)| t);
-            specs
-                .iter()
-                .enumerate()
-                .map(|(i, &(p, c, _))| {
-                    if any_tight && i == 0 {
-                        (100, c, c)
-                    } else {
-                        (p, c, 16 * c)
-                    }
-                })
-                .collect()
-        };
-
-        let horizon = Duration(u64::MAX);
-        let jitter = Duration::ZERO;
-        let mut inc = IncrementalSolver::new();
-        let mut state = initial;
-
-        for step in 0..=deltas.len() {
-            if step > 0 {
-                let (op, slot, spec) = deltas[step - 1];
-                apply_delta(&mut state, op, slot, spec);
-            }
-            let tasks = task_set(&materialize(&state));
-            let curves: Vec<ReleaseCurve> = tasks
-                .iter()
-                .map(|t| ReleaseCurve::new(t.arrival_curve().clone(), jitter))
-                .collect();
-
-            // From-scratch reference: per-task solves in task order, first
-            // error wins — exactly the shape `analyse` has.
-            let scratch: Result<Vec<(TaskId, Duration)>, RtaError> = tasks
-                .iter()
-                .map(|t| {
-                    npfp_response_time(&tasks, &curves, &RunawaySupply, t.id(), horizon)
-                        .map(|r| (t.id(), r))
-                        .map_err(RtaError::from)
-                })
-                .collect();
-
-            let incremental =
-                inc.analyse_with_supply(&tasks, &RunawaySupply, RUNAWAY_FP, jitter, horizon);
-
-            match (&incremental, &scratch) {
-                (Ok(result), Ok(bounds)) => {
-                    prop_assert_eq!(result.bounds().len(), bounds.len());
-                    for &(id, r) in bounds {
-                        let b = result.bound_for(id).expect("bound for every task");
-                        prop_assert_eq!(b.response_bound, r);
-                        prop_assert_eq!(b.jitter, jitter);
-                    }
-                }
-                (Err(a), Err(b)) => {
-                    prop_assert_eq!(a, b);
-                    if let RtaError::Solver(SolverError::Divergent { task, .. }) = a {
-                        prop_assert!(
-                            tasks.task(*task).is_some(),
-                            "divergent verdict names a live task"
-                        );
-                    }
-                }
-                _ => prop_assert!(
-                    false,
-                    "verdict class mismatch: incremental {incremental:?} vs scratch {scratch:?}"
-                ),
-            }
         }
     }
 }
