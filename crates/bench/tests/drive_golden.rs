@@ -1,5 +1,6 @@
 //! Golden digests of every drive path: the timed simulator (honest and
-//! fault-injected), the fuzzer's differential executor, and the fleet.
+//! fault-injected), the fault campaign, the fuzzer's differential
+//! executor, and the fleet with its router.
 //!
 //! Each digest is 64-bit FNV-1a over a canonical rendering of one run's
 //! observable output: ordered containers in their own order, hash sets
@@ -11,7 +12,7 @@ use std::fmt::Write as _;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use refined_prosa::RosslSystem;
+use refined_prosa::{run_fault_campaign, FaultCampaignConfig, RosslSystem};
 use refined_prosa_bench::setup;
 use rossl::WatchdogConfig;
 use rossl_faults::{FaultClass, FaultPlan, FaultSpec};
@@ -73,6 +74,17 @@ fn faulty_digest(class: FaultClass) -> u64 {
     let _ = writeln!(out, "{:?}", run.delivered);
     let _ = writeln!(out, "{:?}", run.injections);
     fnv1a(&out)
+}
+
+/// E16's campaign loop over the full ten-class matrix at one seed.
+fn campaign_digest() -> u64 {
+    let config = FaultCampaignConfig {
+        seeds: vec![5],
+        ..FaultCampaignConfig::new(Instant(8_000))
+    };
+    let outcome =
+        run_fault_campaign(&setup::canonical(), &config).expect("campaign infrastructure");
+    fnv1a(&format!("{outcome:?}"))
 }
 
 /// Findings, step count and the sorted coverage sets of one honest
@@ -144,7 +156,8 @@ fn e22_schedule(i: u64, gap: u64) -> (u64, FaultClass) {
     (seed, class)
 }
 
-fn fleet_digest(i: u64) -> u64 {
+/// The run's outcome, then the router's decision trail.
+fn fleet_digests(i: u64) -> (u64, u64) {
     let workload = Workload {
         jobs_per_key: 4,
         gap_ticks: 400,
@@ -156,7 +169,8 @@ fn fleet_digest(i: u64) -> u64 {
         ..FleetConfig::default()
     };
     let mut fleet = Fleet::new(&fleet_system(), config).expect("fleet analyses");
-    fnv1a(&format!("{:?}", fleet.run(workload, &plan)))
+    let outcome = fnv1a(&format!("{:?}", fleet.run(workload, &plan)));
+    (outcome, fnv1a(&fleet.routing_trace()))
 }
 
 /// Every digest, labelled, in a fixed order.
@@ -182,6 +196,7 @@ fn digests() -> Vec<(String, u64)> {
         "faulty/burst".into(),
         faulty_digest(FaultClass::Burst { factor: 3 }),
     ));
+    table.push(("campaign/full-matrix".into(), campaign_digest()));
     for (kind, entry) in [
         ("plain", "60c17e9e2666d0df"),
         ("plain", "21765a8494f0fdae"),
@@ -202,7 +217,9 @@ fn digests() -> Vec<(String, u64)> {
     // Schedules 0 and 6 are aimed kills, 3 a random kill, 1 and 4
     // pauses, 2 and 5 partitions.
     for i in 0..7 {
-        table.push((format!("fleet/e22/{i}"), fleet_digest(i)));
+        let (outcome, routing) = fleet_digests(i);
+        table.push((format!("fleet/e22/{i}"), outcome));
+        table.push((format!("fleet/e22/{i}/routing"), routing));
     }
     table
 }
@@ -225,6 +242,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("simulate/bursty/4", 0xd71d1eaf1cf3f22a),
     ("faulty/wcet-overrun", 0xdaa806311744dc37),
     ("faulty/burst", 0xe2f7a57a09e9828e),
+    ("campaign/full-matrix", 0x2002bf208a8217ae),
     ("fuzz/plain/60c17e9e2666d0df", 0x8af590361ca2e6b6),
     ("fuzz/plain/21765a8494f0fdae", 0x17b525e172794aaa),
     ("fuzz/crash/98c6e84f1abed480", 0xc8b51bb00021d868),
@@ -239,12 +257,19 @@ const GOLDEN: &[(&str, u64)] = &[
     ("fuzz/fleet-kill/1c66e78962a870d8", 0x4cf30590e65582a4),
     ("fuzz/fleet-kill/3e7e11a888676686", 0x836e4812342c2c60),
     ("fleet/e22/0", 0x3b0f5263a67780bb),
+    ("fleet/e22/0/routing", 0xae86047599440016),
     ("fleet/e22/1", 0x40cddac783b4ae07),
+    ("fleet/e22/1/routing", 0xbd850b0e1b9e07c7),
     ("fleet/e22/2", 0xc55eff648ddaa4c1),
+    ("fleet/e22/2/routing", 0xcb9b011cb80ae001),
     ("fleet/e22/3", 0xe74fb3f8c48bd527),
+    ("fleet/e22/3/routing", 0x6e55c5e8220c5573),
     ("fleet/e22/4", 0x6d7b795922fdd393),
+    ("fleet/e22/4/routing", 0x923b1be79bb7976a),
     ("fleet/e22/5", 0x2178713b1b36b532),
+    ("fleet/e22/5/routing", 0xf7e9057ef3b88279),
     ("fleet/e22/6", 0xaa04d2fad2e66242),
+    ("fleet/e22/6/routing", 0x95d0a9744dc5985c),
 ];
 
 #[test]
