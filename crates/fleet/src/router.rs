@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use rossl::RestartPolicy;
 use rossl_model::{Criticality, MsgData};
-use rossl_obs::{Registry, RouterMetrics, SpanId, TraceCollector};
+use rossl_obs::{SpanId, TraceCollector};
 
 use crate::breaker::{BreakerTransition, CircuitBreaker};
 use crate::ring::{splitmix64, HashRing};
@@ -285,16 +285,14 @@ pub struct Router {
     breakers: Vec<CircuitBreaker>,
     due: BTreeMap<u64, Vec<Attempt>>,
     trace: Vec<RouteEvent>,
-    metrics: Arc<RouterMetrics>,
     tracer: Option<RouterTracer>,
 }
 
 impl Router {
     /// A router over `n_shards` shards. `seed` fixes the ring layout
-    /// and all retry jitter; `registry` receives the `router.*`
-    /// instruments.
+    /// and all retry jitter.
     #[must_use]
-    pub fn new(n_shards: usize, seed: u64, policy: RouterPolicy, registry: &Registry) -> Router {
+    pub fn new(n_shards: usize, seed: u64, policy: RouterPolicy) -> Router {
         Router {
             breakers: (0..n_shards)
                 .map(|_| CircuitBreaker::new(policy.breaker_threshold, policy.breaker_cooldown))
@@ -304,7 +302,6 @@ impl Router {
             seed,
             due: BTreeMap::new(),
             trace: Vec::new(),
-            metrics: RouterMetrics::register(registry),
             tracer: None,
         }
     }
@@ -336,7 +333,6 @@ impl Router {
 
     /// Accepts a fresh client submission at `now`.
     pub fn submit(&mut self, now: u64, seq: u64, key: u64, crit: Criticality, data: MsgData) {
-        self.metrics.submissions.inc();
         self.trace.push(RouteEvent::Submitted { tick: now, seq, key, crit });
         if let Some(t) = self.tracer.as_mut() {
             t.on_submit(seq, now);
@@ -419,7 +415,6 @@ impl Router {
         };
         let (admitted, transition) = self.breakers[shard].admit(now);
         if let Some(t) = transition {
-            self.metrics.breaker_probes.inc();
             self.trace.push(RouteEvent::Breaker { tick: now, shard, transition: t });
             self.trace_breaker(now, shard, t);
         }
@@ -433,7 +428,6 @@ impl Router {
             Criticality::Hi => self.policy.shed_hi_depth,
         };
         if st.reachable && st.depth >= shed_depth {
-            self.metrics.shed.inc();
             self.trace.push(RouteEvent::Shed { tick: now, seq: a.seq, shard, crit: a.crit });
             if let Some(t) = self.tracer.as_mut() {
                 t.on_shed(a.seq, shard as u64, now);
@@ -443,7 +437,6 @@ impl Router {
         }
         if !st.reachable {
             if let Some(t) = self.breakers[shard].record_failure(now) {
-                self.metrics.breaker_opens.inc();
                 self.trace.push(RouteEvent::Breaker { tick: now, shard, transition: t });
                 self.trace_breaker(now, shard, t);
             }
@@ -451,12 +444,9 @@ impl Router {
             return;
         }
         if let Some(t) = self.breakers[shard].record_success() {
-            self.metrics.breaker_closes.inc();
             self.trace.push(RouteEvent::Breaker { tick: now, shard, transition: t });
             self.trace_breaker(now, shard, t);
         }
-        self.metrics.accepted.inc();
-        self.metrics.attempts.observe(u64::from(a.attempt) + 1);
         self.trace.push(RouteEvent::Delivered {
             tick: now,
             seq: a.seq,
@@ -501,8 +491,6 @@ impl Router {
             self.fail(now, a.seq, FailReason::DeadlineExceeded, out);
             return;
         }
-        self.metrics.retries.inc();
-        self.metrics.backoff_ticks.observe(due - now);
         self.trace.push(RouteEvent::Retry {
             tick: now,
             seq: a.seq,
@@ -518,7 +506,6 @@ impl Router {
     }
 
     fn fail(&mut self, now: u64, seq: u64, reason: FailReason, out: &mut ProcessResult) {
-        self.metrics.failed.inc();
         self.trace.push(RouteEvent::Failed { tick: now, seq, reason });
         if let Some(t) = self.tracer.as_mut() {
             let code = match reason {
@@ -542,8 +529,7 @@ mod tests {
 
     #[test]
     fn delivers_on_first_attempt_when_healthy() {
-        let reg = Registry::new();
-        let mut r = Router::new(3, 1, RouterPolicy::default(), &reg);
+        let mut r = Router::new(3, 1, RouterPolicy::default());
         r.submit(0, 7, 42, Criticality::Hi, vec![1, 2]);
         let res = r.process(0, &healthy(3));
         assert_eq!(res.deliveries.len(), 1);
@@ -553,9 +539,8 @@ mod tests {
 
     #[test]
     fn unreachable_shard_costs_retries_then_fails_typed() {
-        let reg = Registry::new();
         let policy = RouterPolicy { max_attempts: 3, ..RouterPolicy::default() };
-        let mut r = Router::new(1, 5, policy, &reg);
+        let mut r = Router::new(1, 5, policy);
         r.submit(0, 1, 0, Criticality::Hi, vec![0]);
         let down = vec![ShardStatus { reachable: false, depth: 0 }];
         let mut failed = Vec::new();
@@ -571,10 +556,9 @@ mod tests {
 
     #[test]
     fn low_criticality_sheds_before_high() {
-        let reg = Registry::new();
         let policy =
             RouterPolicy { shed_lo_depth: 4, shed_hi_depth: 8, ..RouterPolicy::default() };
-        let mut r = Router::new(1, 5, policy, &reg);
+        let mut r = Router::new(1, 5, policy);
         r.submit(0, 1, 0, Criticality::Lo, vec![0]);
         r.submit(0, 2, 0, Criticality::Hi, vec![0]);
         let busy = vec![ShardStatus { reachable: true, depth: 5 }];
@@ -586,14 +570,13 @@ mod tests {
 
     #[test]
     fn breaker_opens_after_consecutive_failures() {
-        let reg = Registry::new();
         let policy = RouterPolicy {
             breaker_threshold: 2,
             max_attempts: 8,
             deadline_ticks: 500,
             ..RouterPolicy::default()
         };
-        let mut r = Router::new(1, 5, policy, &reg);
+        let mut r = Router::new(1, 5, policy);
         r.submit(0, 1, 0, Criticality::Hi, vec![0]);
         let down = vec![ShardStatus { reachable: false, depth: 0 }];
         for tick in 0..64 {

@@ -13,15 +13,13 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use rossl_fleet::{HashRing, Router, RouterPolicy, ShardStatus};
 use rossl_model::Criticality;
-use rossl_obs::Registry;
 
 /// Drives a fresh router through a deterministic schedule derived from
 /// `seed`: staggered submissions, a flapping reachability pattern (so
 /// retries, backoff, jitter, and breakers all fire), and one shard
 /// death mid-run.
 fn drive(seed: u64, n_shards: usize, n_subs: u64, ticks: u64) -> String {
-    let registry = Registry::new();
-    let mut router = Router::new(n_shards, seed, RouterPolicy::default(), &registry);
+    let mut router = Router::new(n_shards, seed, RouterPolicy::default());
     let dead = (seed as usize) % n_shards;
     for tick in 0..ticks {
         if tick < n_subs {
@@ -61,8 +59,7 @@ proptest! {
         seed in 0u64..5_000,
         n_shards in 2usize..6,
     ) {
-        let registry = Registry::new();
-        let mut router = Router::new(n_shards, seed, RouterPolicy::default(), &registry);
+        let mut router = Router::new(n_shards, seed, RouterPolicy::default());
         for seq in 0..8u64 {
             router.submit(seq, seq, seed ^ seq, Criticality::Hi, vec![0]);
         }

@@ -1,10 +1,8 @@
-//! Pre-wired instrument bundles for each instrumented subsystem, plus
-//! the scheduler's batched hot-path sink.
+//! The scheduler's instrument bundle and its batched hot-path sink.
 //!
-//! The bundles fix the metric names (the `sched.*`, `supervisor.*`,
-//! `verify.*`, `campaign.*` namespaces documented in DESIGN §7) so
-//! every layer reports into the same registry without string plumbing
-//! at call sites.
+//! [`SchedulerMetrics`] fixes the `sched.*` metric names (DESIGN §7),
+//! so the scheduler reports into a registry without string plumbing at
+//! call sites.
 //!
 //! ## The hot-path contract
 //!
@@ -17,10 +15,8 @@
 
 use std::sync::Arc;
 
-use crate::hist::Histogram;
 use crate::metrics::{Counter, Gauge, HighWater};
 use crate::registry::Registry;
-use crate::span::{SpanEvent, SpanLog};
 
 /// Locally accumulated scheduler-loop counts, flushed in one batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -187,348 +183,9 @@ impl SchedSink {
     }
 }
 
-/// Supervisor instruments, registered under `supervisor.*`.
-#[derive(Debug)]
-pub struct SupervisorMetrics {
-    /// Successful restarts.
-    pub restarts: Arc<Counter>,
-    /// Restart attempts that themselves crashed.
-    pub failed_restarts: Arc<Counter>,
-    /// Backoff waited before each restart, in ticks.
-    pub backoff_ticks: Arc<Histogram>,
-    /// Journal events replayed per restart.
-    pub replayed_events: Arc<Histogram>,
-    /// Jobs re-pended from the journal per restart.
-    pub repended_jobs: Arc<Histogram>,
-    /// Wall-clock restart duration (recover + rebuild), microseconds.
-    pub restart_us: Arc<Histogram>,
-    /// Span log receiving one `restart` span per recovery.
-    pub spans: Arc<SpanLog>,
-}
-
-impl SupervisorMetrics {
-    /// Registers the `supervisor.*` instruments in `registry`, sharing
-    /// `spans` with other bundles.
-    pub fn register(registry: &Registry, spans: Arc<SpanLog>) -> Arc<SupervisorMetrics> {
-        Arc::new(SupervisorMetrics {
-            restarts: registry.counter("supervisor.restarts"),
-            failed_restarts: registry.counter("supervisor.failed_restarts"),
-            backoff_ticks: registry.histogram("supervisor.backoff_ticks"),
-            replayed_events: registry.histogram("supervisor.replayed_events"),
-            repended_jobs: registry.histogram("supervisor.repended_jobs"),
-            restart_us: registry.histogram("supervisor.restart_us"),
-            spans,
-        })
-    }
-
-    /// Records one successful restart: the backoff it waited, what it
-    /// replayed, and how long recovery took.
-    pub fn record_restart(
-        &self,
-        attempt: u64,
-        backoff_ticks: u64,
-        replayed_events: u64,
-        repended_jobs: u64,
-        wall_us: u64,
-    ) {
-        self.restarts.inc();
-        self.backoff_ticks.observe(backoff_ticks);
-        self.replayed_events.observe(replayed_events);
-        self.repended_jobs.observe(repended_jobs);
-        self.restart_us.observe(wall_us);
-        self.spans.record(
-            SpanEvent::new("supervisor", "restart")
-                .field("attempt", attempt)
-                .field("backoff_ticks", backoff_ticks)
-                .field("replayed_events", replayed_events)
-                .field("repended_jobs", repended_jobs)
-                .field("wall_us", wall_us),
-        );
-    }
-}
-
-/// Model-checker / crash-sweep instruments, registered under
-/// `verify.*`.
-#[derive(Debug)]
-pub struct VerifierMetrics {
-    /// Paths walked to their ends.
-    pub explored_paths: Arc<Counter>,
-    /// Steps taken on explored paths.
-    pub explored_steps: Arc<Counter>,
-    /// Paths cut off by deduplication.
-    pub pruned_paths: Arc<Counter>,
-    /// Steps saved by deduplication.
-    pub pruned_steps: Arc<Counter>,
-    /// Memo-table lookups.
-    pub memo_lookups: Arc<Counter>,
-    /// Memo-table hits.
-    pub memo_hits: Arc<Counter>,
-    /// Subtrees donated to starving workers (steal count).
-    pub donations: Arc<Counter>,
-    /// Deepest exploration frontier reached, in steps.
-    pub frontier_depth: Arc<HighWater>,
-    /// Dedup hit rate at the last recorded run, in permille.
-    pub dedup_hit_permille: Arc<Gauge>,
-    /// Crash points enumerated by the crash sweep.
-    pub crash_points: Arc<Counter>,
-    /// Recovery continuations explored by the crash sweep.
-    pub crash_recoveries: Arc<Counter>,
-}
-
-impl VerifierMetrics {
-    /// Registers the `verify.*` instruments in `registry`.
-    pub fn register(registry: &Registry) -> Arc<VerifierMetrics> {
-        Arc::new(VerifierMetrics {
-            explored_paths: registry.counter("verify.explored_paths"),
-            explored_steps: registry.counter("verify.explored_steps"),
-            pruned_paths: registry.counter("verify.pruned_paths"),
-            pruned_steps: registry.counter("verify.pruned_steps"),
-            memo_lookups: registry.counter("verify.memo_lookups"),
-            memo_hits: registry.counter("verify.memo_hits"),
-            donations: registry.counter("verify.donations"),
-            frontier_depth: registry.high_water("verify.frontier_depth"),
-            dedup_hit_permille: registry.gauge("verify.dedup_hit_permille"),
-            crash_points: registry.counter("verify.crash_points"),
-            crash_recoveries: registry.counter("verify.crash_recoveries"),
-        })
-    }
-
-    /// Records one exploration's work split (the checker passes its
-    /// `ExploreStats` fields so this crate stays dependency-free).
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_exploration(
-        &self,
-        explored_paths: u64,
-        explored_steps: u64,
-        pruned_paths: u64,
-        pruned_steps: u64,
-        memo_lookups: u64,
-        memo_hits: u64,
-        max_depth: u64,
-    ) {
-        self.explored_paths.add(explored_paths);
-        self.explored_steps.add(explored_steps);
-        self.pruned_paths.add(pruned_paths);
-        self.pruned_steps.add(pruned_steps);
-        self.memo_lookups.add(memo_lookups);
-        self.memo_hits.add(memo_hits);
-        self.frontier_depth.observe(max_depth);
-        let permille = memo_hits
-            .saturating_mul(1000)
-            .checked_div(memo_lookups)
-            .unwrap_or(0);
-        self.dedup_hit_permille.set(permille as i64);
-    }
-}
-
-/// Fault-campaign instruments, registered under `campaign.*`.
-///
-/// Per-class detection-latency histograms are registered lazily (the
-/// class set is data, not code), so the bundle keeps its registry.
-#[derive(Debug)]
-pub struct CampaignMetrics {
-    registry: Arc<Registry>,
-    /// Faulty runs executed.
-    pub runs: Arc<Counter>,
-    /// Runs whose injected fault was detected by a checker.
-    pub detections: Arc<Counter>,
-    /// Runs whose injected fault escaped every checker.
-    pub escapes: Arc<Counter>,
-    /// Span log receiving one span per faulty run.
-    pub spans: Arc<SpanLog>,
-}
-
-impl CampaignMetrics {
-    /// Registers the `campaign.*` instruments in `registry`, sharing
-    /// `spans` with other bundles.
-    pub fn register(registry: Arc<Registry>, spans: Arc<SpanLog>) -> Arc<CampaignMetrics> {
-        Arc::new(CampaignMetrics {
-            runs: registry.counter("campaign.runs"),
-            detections: registry.counter("campaign.detections"),
-            escapes: registry.counter("campaign.escapes"),
-            registry,
-            spans,
-        })
-    }
-
-    /// Records one faulty run: which class, whether a checker caught
-    /// it, and the verification wall time (the detection latency).
-    pub fn record_run(
-        &self,
-        class: &str,
-        seed: u64,
-        injections: u64,
-        detected: bool,
-        verify_wall_us: u64,
-    ) {
-        self.runs.inc();
-        self.registry
-            .counter(&format!("campaign.runs.{class}"))
-            .inc();
-        self.registry
-            .histogram(&format!("campaign.verify_us.{class}"))
-            .observe(verify_wall_us);
-        if detected {
-            self.detections.inc();
-            self.registry
-                .counter(&format!("campaign.detected.{class}"))
-                .inc();
-            self.registry
-                .histogram(&format!("campaign.detection_latency_us.{class}"))
-                .observe(verify_wall_us);
-        } else {
-            self.escapes.inc();
-        }
-        self.spans.record(
-            SpanEvent::new("campaign", class.to_string())
-                .field("seed", seed)
-                .field("injections", injections)
-                .field("detected", u64::from(detected))
-                .field("verify_wall_us", verify_wall_us),
-        );
-    }
-}
-
-/// Fleet-router instruments, registered under `router.*`.
-///
-/// The router's whole decision trail — accept, retry, shed, fail —
-/// lands here so the E22 chaos campaign can assert accounting
-/// (`submissions == accepted + shed + failed`) straight off a snapshot.
-#[derive(Debug)]
-pub struct RouterMetrics {
-    /// Submit calls received.
-    pub submissions: Arc<Counter>,
-    /// Submissions accepted by some shard.
-    pub accepted: Arc<Counter>,
-    /// Submissions shed under backpressure (low criticality first).
-    pub shed: Arc<Counter>,
-    /// Submissions that exhausted their deadline or every retry.
-    pub failed: Arc<Counter>,
-    /// Individual delivery attempts that were retried.
-    pub retries: Arc<Counter>,
-    /// Circuit-breaker transitions into the open state.
-    pub breaker_opens: Arc<Counter>,
-    /// Circuit-breaker probe admissions (open → half-open).
-    pub breaker_probes: Arc<Counter>,
-    /// Circuit-breaker recoveries (half-open → closed).
-    pub breaker_closes: Arc<Counter>,
-    /// Backoff recorded before each retry, in ticks.
-    pub backoff_ticks: Arc<Histogram>,
-    /// Delivery attempts needed per accepted submission.
-    pub attempts: Arc<Histogram>,
-}
-
-impl RouterMetrics {
-    /// Registers the `router.*` instruments in `registry`.
-    pub fn register(registry: &Registry) -> Arc<RouterMetrics> {
-        Arc::new(RouterMetrics {
-            submissions: registry.counter("router.submissions"),
-            accepted: registry.counter("router.accepted"),
-            shed: registry.counter("router.shed"),
-            failed: registry.counter("router.failed"),
-            retries: registry.counter("router.retries"),
-            breaker_opens: registry.counter("router.breaker_opens"),
-            breaker_probes: registry.counter("router.breaker_probes"),
-            breaker_closes: registry.counter("router.breaker_closes"),
-            backoff_ticks: registry.histogram("router.backoff_ticks"),
-            attempts: registry.histogram("router.attempts"),
-        })
-    }
-}
-
-/// Fleet-supervisor instruments, registered under `fleet.*`.
-#[derive(Debug)]
-pub struct FleetMetrics {
-    /// Health-check sweeps performed.
-    pub health_checks: Arc<Counter>,
-    /// Shard deaths detected (crash escalation or heartbeat timeout).
-    pub failures_detected: Arc<Counter>,
-    /// In-place supervised restarts that succeeded (no migration).
-    pub restarts_in_place: Arc<Counter>,
-    /// Cross-shard migrations performed (fence + journal replay).
-    pub failovers: Arc<Counter>,
-    /// Jobs re-pended onto a successor per migration.
-    pub migrated_jobs: Arc<Histogram>,
-    /// Failover latency per migration: fleet ticks from failure
-    /// detection to the successor accepting the replayed state.
-    pub failover_latency_ticks: Arc<Histogram>,
-    /// Shards currently alive.
-    pub shards_alive: Arc<Gauge>,
-    /// Span log receiving one `failover` span per migration.
-    pub spans: Arc<SpanLog>,
-}
-
-impl FleetMetrics {
-    /// Registers the `fleet.*` instruments in `registry`, sharing
-    /// `spans` with other bundles.
-    pub fn register(registry: &Registry, spans: Arc<SpanLog>) -> Arc<FleetMetrics> {
-        Arc::new(FleetMetrics {
-            health_checks: registry.counter("fleet.health_checks"),
-            failures_detected: registry.counter("fleet.failures_detected"),
-            restarts_in_place: registry.counter("fleet.restarts_in_place"),
-            failovers: registry.counter("fleet.failovers"),
-            migrated_jobs: registry.histogram("fleet.migrated_jobs"),
-            failover_latency_ticks: registry.histogram("fleet.failover_latency_ticks"),
-            shards_alive: registry.gauge("fleet.shards_alive"),
-            spans,
-        })
-    }
-
-    /// Records one cross-shard migration: which shard died, who took
-    /// over, how many jobs moved, and how long detection-to-migrated
-    /// took in fleet ticks.
-    pub fn record_failover(
-        &self,
-        dead_shard: u64,
-        successor: u64,
-        migrated_jobs: u64,
-        latency_ticks: u64,
-    ) {
-        self.failovers.inc();
-        self.migrated_jobs.observe(migrated_jobs);
-        self.failover_latency_ticks.observe(latency_ticks);
-        self.spans.record(
-            SpanEvent::new("fleet", "failover")
-                .field("dead_shard", dead_shard)
-                .field("successor", successor)
-                .field("migrated_jobs", migrated_jobs)
-                .field("latency_ticks", latency_ticks),
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fleet_and_router_bundles_register_their_namespaces() {
-        let reg = Registry::new();
-        let spans = Arc::new(SpanLog::new());
-        let router = RouterMetrics::register(&reg);
-        let fleet = FleetMetrics::register(&reg, Arc::clone(&spans));
-
-        router.submissions.inc();
-        router.accepted.inc();
-        router.backoff_ticks.observe(4);
-        fleet.shards_alive.set(3);
-        fleet.record_failover(1, 2, 5, 7);
-
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("router.submissions"), Some(1));
-        assert_eq!(snap.counter("router.accepted"), Some(1));
-        assert_eq!(snap.histogram("router.backoff_ticks").map(|h| h.max), Some(4));
-        assert_eq!(snap.gauge("fleet.shards_alive"), Some(3));
-        assert_eq!(snap.counter("fleet.failovers"), Some(1));
-        assert_eq!(
-            snap.histogram("fleet.failover_latency_ticks").map(|h| h.max),
-            Some(7)
-        );
-        let span = &spans.events_in("fleet")[0];
-        assert_eq!(span.label, "failover");
-        assert_eq!(span.get("dead_shard"), Some(1));
-        assert_eq!(span.get("migrated_jobs"), Some(5));
-    }
 
     #[test]
     fn noop_sink_discards_and_metrics_sink_applies() {
@@ -573,51 +230,5 @@ mod tests {
         assert_eq!(snap.counter("sched.resumes"), Some(4));
         assert_eq!(snap.gauge("sched.mode"), Some(1));
         assert_eq!(snap.gauge("sched.suspended_depth"), Some(3));
-    }
-
-    #[test]
-    fn supervisor_restart_feeds_metrics_and_span() {
-        let reg = Registry::new();
-        let spans = Arc::new(SpanLog::new());
-        let sup = SupervisorMetrics::register(&reg, Arc::clone(&spans));
-        sup.record_restart(1, 8, 40, 3, 120);
-        assert_eq!(reg.snapshot().counter("supervisor.restarts"), Some(1));
-        let span = &spans.events_in("supervisor")[0];
-        assert_eq!(span.get("backoff_ticks"), Some(8));
-        assert_eq!(span.get("replayed_events"), Some(40));
-        assert_eq!(span.get("repended_jobs"), Some(3));
-    }
-
-    #[test]
-    fn verifier_exploration_sets_dedup_rate() {
-        let reg = Registry::new();
-        let vm = VerifierMetrics::register(&reg);
-        vm.record_exploration(100, 5000, 40, 2000, 140, 40, 60);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("verify.explored_steps"), Some(5000));
-        assert_eq!(snap.counter("verify.pruned_paths"), Some(40));
-        assert_eq!(snap.gauge("verify.dedup_hit_permille"), Some(285));
-        assert_eq!(snap.high_water("verify.frontier_depth"), Some(60));
-    }
-
-    #[test]
-    fn campaign_records_per_class_lazily() {
-        let reg = Arc::new(Registry::new());
-        let spans = Arc::new(SpanLog::new());
-        let cm = CampaignMetrics::register(Arc::clone(&reg), Arc::clone(&spans));
-        cm.record_run("wcet_overrun", 7, 3, true, 900);
-        cm.record_run("wcet_overrun", 8, 2, false, 700);
-        cm.record_run("drop_marker", 9, 1, true, 50);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("campaign.runs"), Some(3));
-        assert_eq!(snap.counter("campaign.detections"), Some(2));
-        assert_eq!(snap.counter("campaign.escapes"), Some(1));
-        assert_eq!(snap.counter("campaign.detected.wcet_overrun"), Some(1));
-        assert_eq!(
-            snap.histogram("campaign.detection_latency_us.drop_marker")
-                .map(|h| h.count),
-            Some(1)
-        );
-        assert_eq!(spans.events_in("campaign").len(), 3);
     }
 }

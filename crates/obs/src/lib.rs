@@ -6,8 +6,8 @@
 //! measurement-vs-analysis comparisons that the ROS 2 timing-analysis
 //! literature uses to validate its models. It is deliberately
 //! dependency-free (std only) so any crate in the workspace — the
-//! scheduler, the journal drivers, the verifier, the fault campaign —
-//! can attach instruments without creating dependency cycles.
+//! scheduler, the simulator, the fleet — can attach instruments without
+//! creating dependency cycles.
 //!
 //! Four layers (DESIGN §7):
 //!
@@ -17,13 +17,13 @@
 //! - **The [`Registry`]**: sharded name → handle map used only at
 //!   wiring time; [`Registry::snapshot`] produces a sorted, immutable
 //!   [`Snapshot`].
-//! - **Semantics on top**: the [`BoundObservatory`] compares observed
-//!   response times against analytical bounds and raises typed
-//!   [`BoundViolation`] alerts; [`SpanLog`] keeps structured
-//!   [`SpanEvent`]s for the supervisor, fault campaign and verifier;
-//!   the per-subsystem bundles ([`SchedulerMetrics`],
-//!   [`SupervisorMetrics`], [`VerifierMetrics`], [`CampaignMetrics`])
-//!   fix the metric namespaces.
+//! - **Semantics on top**: three observers, each with a reader. The
+//!   [`BoundObservatory`] compares observed response times against
+//!   analytical bounds and raises typed [`BoundViolation`] alerts; the
+//!   [`TermObservatory`] does the same per bound term for
+//!   [`attribute`]d jobs ([`TermOverrun`]); [`SchedulerMetrics`] fixes
+//!   the `sched.*` namespace. The [`TraceCollector`] is the one event
+//!   model: causal spans on tick clocks (DESIGN §11).
 //! - **Exporters**: [`render_text`], [`render_json`], and the binary
 //!   [`encode_snapshot`]/[`decode_snapshot`] codec whose output rides
 //!   in the journal's `Telemetry` record kind so metrics survive
@@ -44,14 +44,10 @@ mod hist;
 mod metrics;
 mod observatory;
 mod registry;
-mod span;
 mod trace;
 
 pub use attribution::{attribute, AttributionReport, BoundTerm, JobAttribution};
-pub use bundles::{
-    CampaignMetrics, FleetMetrics, RouterMetrics, SchedDepths, SchedSink, SchedulerMetrics,
-    StepCounts, SupervisorMetrics, VerifierMetrics,
-};
+pub use bundles::{SchedDepths, SchedSink, SchedulerMetrics, StepCounts};
 pub use export::{
     decode_snapshot, encode_snapshot, render_json, render_text, SnapshotDecodeError,
     SNAPSHOT_VERSION,
@@ -59,11 +55,9 @@ pub use export::{
 pub use hist::{bucket_floor, bucket_index, Histogram, HistogramSnapshot, BUCKETS};
 pub use metrics::{Counter, Gauge, HighWater};
 pub use observatory::{
-    BoundObservatory, BoundViolation, ModeObservatory, ModeThrashAlert, TermAllowance,
-    TermObservatory, TermOverrun,
+    BoundObservatory, BoundViolation, TermAllowance, TermObservatory, TermOverrun,
 };
 pub use registry::{MetricSnapshot, MetricValue, Registry, Snapshot};
-pub use span::{SpanEvent, SpanLog};
 pub use trace::{
     check_trace, parse_chrome_trace, render_chrome_trace, ChromeEvent, ChromeParseError,
     ClockDomain, Span, SpanId, SpanKind, TraceCheck, TraceCollector, TraceDefect, TraceId,
