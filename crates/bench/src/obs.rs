@@ -49,9 +49,10 @@ struct Rig {
 
 fn rig(system: &RosslSystem) -> Rig {
     let registry = Registry::new();
-    let observatory = system
-        .observatory(&registry, ANALYSIS_HORIZON)
+    let bounds = system
+        .analyse(ANALYSIS_HORIZON)
         .expect("canonical system is schedulable");
+    let observatory = system.observatory(&registry, &bounds);
     let sink = SchedSink::Metrics(SchedulerMetrics::register(&registry));
     let telemetry = RunTelemetry::default()
         .with_sink(sink)

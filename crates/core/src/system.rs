@@ -288,22 +288,17 @@ impl RosslSystem {
     }
 
     /// Builds a [`BoundObservatory`] tracking every task of this system
-    /// against its analytical bound `R_i + J_i` (the Thm. 5.1 claim
-    /// stated against arrival — exactly the quantity
+    /// against its analytical bound `R_i + J_i` in `bounds` (the Thm. 5.1
+    /// claim stated against arrival — exactly the quantity
     /// [`rossl_timing::JobRecord::response_time`] measures), registering
-    /// the per-task `obs.*` metrics in `registry`. Busy-window search is
-    /// capped at `analysis_horizon`, as in [`RosslSystem::analyse`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SystemError::Analysis`] when unschedulable — there are
-    /// no bounds to observe against.
+    /// the per-task `obs.*` metrics in `registry`. `bounds` is this
+    /// system's [`RosslSystem::analyse`] result, so one analysis can
+    /// back any number of observatories.
     pub fn observatory(
         &self,
         registry: &Registry,
-        analysis_horizon: Duration,
-    ) -> Result<std::sync::Arc<BoundObservatory>, SystemError> {
-        let bounds = self.analyse(analysis_horizon)?;
+        bounds: &AnalysisResult,
+    ) -> std::sync::Arc<BoundObservatory> {
         let mut obs = BoundObservatory::new();
         for task in self.tasks() {
             let bound = bounds
@@ -312,7 +307,7 @@ impl RosslSystem {
                 .unwrap_or(Duration::ZERO);
             obs.track(registry, task.id().0, task.name(), bound.ticks());
         }
-        Ok(std::sync::Arc::new(obs))
+        std::sync::Arc::new(obs)
     }
 
     /// Simulates one run against `arrivals` under the given cost model.
@@ -538,9 +533,8 @@ mod tests {
     fn observatory_tracks_every_task_at_its_analytical_bound() {
         let s = demo();
         let registry = Registry::new();
-        let horizon = Duration(400_000);
-        let obs = s.observatory(&registry, horizon).unwrap();
-        let bounds = s.analyse(horizon).unwrap();
+        let bounds = s.analyse(Duration(400_000)).unwrap();
+        let obs = s.observatory(&registry, &bounds);
         assert_eq!(obs.tracked_tasks().len(), s.tasks().len());
         for task in s.tasks() {
             let expected = bounds.bound_for(task.id()).unwrap().total_bound().ticks();
@@ -566,7 +560,7 @@ mod tests {
         let plain = s.simulate(&arrivals, cost(), horizon).unwrap();
 
         let registry = Registry::new();
-        let obs = s.observatory(&registry, Duration(400_000)).unwrap();
+        let obs = s.observatory(&registry, &s.analyse(Duration(400_000)).unwrap());
         let telemetry = RunTelemetry::disabled()
             .with_sink(SchedSink::Metrics(SchedulerMetrics::register(&registry)))
             .with_observatory(std::sync::Arc::clone(&obs));
