@@ -271,6 +271,26 @@ mod tests {
     }
 
     #[test]
+    fn tracing_changes_no_outcome_and_no_routing_decision() {
+        use rossl_obs::TraceCollector;
+        use std::sync::Arc;
+
+        let sys = system(3);
+        let plan = FaultPlan::empty(7)
+            .with(FaultSpec::always(FaultClass::ShardKill { shard: 1, at_tick: 30 }));
+        let mut plain = Fleet::new(&sys, FleetConfig::default()).unwrap();
+        let plain_out = plain.run(workload(), &plan);
+        let collector = Arc::new(TraceCollector::new(1 << 15));
+        let mut traced = Fleet::new(&sys, FleetConfig::default())
+            .unwrap()
+            .with_tracer(Arc::clone(&collector));
+        let traced_out = traced.run(workload(), &plan);
+        assert!(collector.recorded() > 0);
+        assert_eq!(format!("{traced_out:?}"), format!("{plain_out:?}"));
+        assert_eq!(traced.routing_trace(), plain.routing_trace());
+    }
+
+    #[test]
     fn payload_roundtrip() {
         let p = payload(2, 0xDEAD_BEEF);
         assert_eq!(p[0], 2);
