@@ -204,14 +204,17 @@ impl Shard {
         let at = end.0;
         self.journal.append(&marker, end);
         self.journal.commit();
-        if let Some(tracer) = self.tracer.as_mut() {
-            let commit = self.journal.commits_written();
-            let prio_of = |task: rossl_model::TaskId| {
-                self.inbox.config.tasks().task(task).map_or(0, |t| u64::from(t.priority().0))
-            };
-            match &marker {
-                Marker::ReadEnd { job: Some(j), .. } => {
-                    if let Some(seq) = read_seq {
+        // One match serves the events and, when attached, the tracer,
+        // so a traced step pays nothing extra for the markers the
+        // tracer ignores.
+        let commit = self.journal.commits_written();
+        let prio_of = |task: rossl_model::TaskId| {
+            self.inbox.config.tasks().task(task).map_or(0, |t| u64::from(t.priority().0))
+        };
+        match &marker {
+            Marker::ReadEnd { job: Some(j), .. } => {
+                if let Some(seq) = read_seq {
+                    if let Some(tracer) = self.tracer.as_mut() {
                         tracer.on_accept(
                             seq,
                             j.id().0,
@@ -222,27 +225,24 @@ impl Shard {
                             self.orphan_bug,
                         );
                     }
-                }
-                Marker::Dispatch(j) => tracer.on_dispatch(
-                    j.id().0,
-                    j.task().0 as u64,
-                    prio_of(j.task()),
-                    at,
-                    commit,
-                ),
-                Marker::Completion(j) => tracer.on_complete(j.id().0, at, commit),
-                Marker::ModeSwitch { .. } => tracer.on_mode_switch(start.0, at),
-                _ => {}
-            }
-        }
-        match &marker {
-            Marker::ReadEnd { job: Some(j), .. } => {
-                if let Some(seq) = read_seq {
                     events.push(ShardEvent::Accepted { seq, job: j.clone(), at });
                 }
             }
+            Marker::Dispatch(j) => {
+                if let Some(tracer) = self.tracer.as_mut() {
+                    tracer.on_dispatch(j.id().0, j.task().0 as u64, prio_of(j.task()), at, commit);
+                }
+            }
             Marker::Completion(j) => {
+                if let Some(tracer) = self.tracer.as_mut() {
+                    tracer.on_complete(j.id().0, at, commit);
+                }
                 events.push(ShardEvent::Completed { job: j.clone(), at });
+            }
+            Marker::ModeSwitch { .. } => {
+                if let Some(tracer) = self.tracer.as_mut() {
+                    tracer.on_mode_switch(start.0, at);
+                }
             }
             _ => {}
         }
