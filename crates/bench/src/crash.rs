@@ -77,7 +77,8 @@ pub fn exp_crash_recovery(depth: usize) -> String {
         .iter()
         .enumerate()
     {
-        w.append(m, Instant(i as u64 + 1));
+        w.append(m, Instant(i as u64 + 1))
+            .expect("payload-free markers fit a record");
         w.commit();
     }
     let clean = w.into_bytes();

@@ -430,20 +430,22 @@ impl CrashSweep {
     ) -> Result<Scheduler<FirstByteCodec>, CrashSweepFailure> {
         let crash_at = node.crash_at.expect("recovery is only for crash forks");
         let pre = materialize_trace(&node.pre_trace);
+        let failure = |reason: String| CrashSweepFailure {
+            crash_at,
+            segments: vec![pre.clone()],
+            reason,
+        };
         let mut journal = JournalWriter::new();
         for (i, marker) in pre.iter().enumerate() {
-            journal.append(marker, Instant(i as u64 + 1));
+            journal
+                .append(marker, Instant(i as u64 + 1))
+                .map_err(|e| failure(format!("marker {i} cannot be journaled: {e}")))?;
             journal.commit();
         }
         let mut bytes = journal.into_bytes();
         // The write the crash interrupted: a torn event header.
         bytes.extend_from_slice(&[KIND_EVENT, 0xFF, 0xFF]);
 
-        let failure = |reason: String| CrashSweepFailure {
-            crash_at,
-            segments: vec![pre.clone()],
-            reason,
-        };
         let mut supervisor = Supervisor::new(RestartPolicy::default());
         let (sched, state, corruption) = supervisor
             .restart_shared(&bytes, config.clone(), FirstByteCodec)

@@ -132,7 +132,7 @@ fn drive_against_sockets<S: DatagramSource>(
     let mut trace = Vec::new();
     for _ in 0..steps {
         let step = driver.step(&mut env).expect("drive ok");
-        journal.append(&step.marker, step.end);
+        journal.append(&step.marker, step.end).unwrap();
         journal.commit();
         trace.push(step.marker);
     }

@@ -410,7 +410,9 @@ fn raw_drive(
             }
         };
         out.steps += 1;
-        journal.append(&marker, end);
+        journal
+            .append(&marker, end)
+            .expect("fuzz payloads are one byte, the task index");
         // The SkippedCommit driver bug: stop committing at the first
         // successful read journaled — the read record itself included.
         if bug == Some(SeededBug::SkippedCommit)

@@ -28,7 +28,9 @@
 //! any of the three is detected. `len` is validated against both
 //! [`MAX_RECORD_LEN`] and the bytes actually remaining **before** any
 //! allocation happens, so adversarial length fields can neither OOM nor
-//! panic the reader.
+//! panic the reader. The writer holds itself to the same cap: it
+//! refuses a record over [`MAX_RECORD_LEN`] with [`RecordTooLarge`]
+//! instead of writing a frame the reader would stop at.
 //!
 //! # Recovery semantics
 //!
@@ -62,7 +64,7 @@
 //! use rossl_trace::Marker;
 //!
 //! let mut w = JournalWriter::new();
-//! w.append(&Marker::ReadStart, Instant(3));
+//! w.append(&Marker::ReadStart, Instant(3))?;
 //! w.commit();
 //! let bytes = w.into_bytes();
 //!
@@ -70,7 +72,7 @@
 //! assert_eq!(rec.committed.len(), 1);
 //! assert_eq!(rec.committed[0].marker, Marker::ReadStart);
 //! assert!(rec.corruption.is_none());
-//! # Ok::<(), rossl_journal::JournalError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -87,7 +89,7 @@ pub use reader::{
     recover, Corruption, CorruptionKind, JournalError, Recovered, SkippedRecord, TelemetryRecord,
     TimedEvent,
 };
-pub use writer::JournalWriter;
+pub use writer::{JournalWriter, RecordTooLarge};
 
 /// The 8-byte magic prefix of every journal.
 pub const MAGIC: &[u8; 8] = b"RSSLWAL1";
@@ -103,5 +105,6 @@ pub const KIND_TELEMETRY: u8 = 3;
 /// Upper bound on a single record's payload length. Anything larger is
 /// reported as [`CorruptionKind::OversizedRecord`] *before* allocation:
 /// a flipped or adversarial length field cannot make the reader reserve
-/// gigabytes.
+/// gigabytes. [`JournalWriter`] refuses such records with
+/// [`RecordTooLarge`].
 pub const MAX_RECORD_LEN: u32 = 1 << 20;

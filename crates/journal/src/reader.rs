@@ -338,19 +338,19 @@ mod tests {
     fn sample_journal() -> Vec<u8> {
         let j = Job::new(JobId(1), TaskId(0), vec![0, 9]);
         let mut w = JournalWriter::new();
-        w.append(&Marker::ReadStart, Instant(1));
+        w.append(&Marker::ReadStart, Instant(1)).unwrap();
         w.append(
             &Marker::ReadEnd {
                 sock: SocketId(0),
                 job: Some(j.clone()),
             },
             Instant(2),
-        );
+        ).unwrap();
         w.commit();
-        w.append(&Marker::Selection, Instant(3));
-        w.append(&Marker::Dispatch(j), Instant(4));
+        w.append(&Marker::Selection, Instant(3)).unwrap();
+        w.append(&Marker::Dispatch(j), Instant(4)).unwrap();
         w.commit();
-        w.append(&Marker::ReadStart, Instant(5));
+        w.append(&Marker::ReadStart, Instant(5)).unwrap();
         w.into_bytes()
     }
 
@@ -465,7 +465,7 @@ mod tests {
         let crc = crc32(&bytes[start..]);
         bytes.extend_from_slice(&crc.to_le_bytes());
         let mut w = JournalWriter::new();
-        w.append(&Marker::ReadStart, Instant(7));
+        w.append(&Marker::ReadStart, Instant(7)).unwrap();
         w.commit();
         bytes.extend_from_slice(&w.into_bytes()[MAGIC.len()..]);
 
@@ -486,10 +486,10 @@ mod tests {
     #[test]
     fn telemetry_records_ride_alongside_events_and_commit_seals_both() {
         let mut w = JournalWriter::new();
-        w.append(&Marker::ReadStart, Instant(1));
-        w.append_telemetry(b"snap-one", Instant(2));
+        w.append(&Marker::ReadStart, Instant(1)).unwrap();
+        w.append_telemetry(b"snap-one", Instant(2)).unwrap();
         w.commit();
-        w.append_telemetry(b"snap-two", Instant(3));
+        w.append_telemetry(b"snap-two", Instant(3)).unwrap();
         let rec = recover(&w.into_bytes()).unwrap();
         assert_eq!(rec.committed.len(), 1);
         assert_eq!(

@@ -46,16 +46,16 @@ fn crash_recovery_restores_the_last_committed_metrics_state() {
     let (committed_state, blob_a) = telemetry_blob(&registry);
 
     let mut w = JournalWriter::new();
-    w.append(&Marker::ReadStart, Instant(1));
-    w.append_telemetry(&blob_a, Instant(10));
+    w.append(&Marker::ReadStart, Instant(1)).unwrap();
+    w.append_telemetry(&blob_a, Instant(10)).unwrap();
     w.commit();
 
     // More work happens after the commit: the journal sees an event, a
     // fresher snapshot — and then the process dies mid-write.
     mutate(&registry);
     let (uncommitted_state, blob_b) = telemetry_blob(&registry);
-    w.append(&Marker::Idling, Instant(15));
-    w.append_telemetry(&blob_b, Instant(20));
+    w.append(&Marker::Idling, Instant(15)).unwrap();
+    w.append_telemetry(&blob_b, Instant(20)).unwrap();
     let mut bytes = w.into_bytes();
     bytes.extend_from_slice(&[KIND_TELEMETRY, 0xEE, 0xEE]); // torn write
 
@@ -90,7 +90,7 @@ fn restored_snapshot_can_repopulate_a_fresh_registry() {
     let registry = populated_registry();
     let (_, blob) = telemetry_blob(&registry);
     let mut w = JournalWriter::new();
-    w.append_telemetry(&blob, Instant(5));
+    w.append_telemetry(&blob, Instant(5)).unwrap();
     w.commit();
     let rec = recover(&w.into_bytes()).expect("header intact");
     let restored = decode_snapshot(&rec.telemetry[0].payload).expect("valid blob");
@@ -133,7 +133,7 @@ fn multiple_commits_keep_the_latest_sealed_snapshot_last() {
     for round in 0..3u64 {
         mutate(&registry);
         let (state, blob) = telemetry_blob(&registry);
-        w.append_telemetry(&blob, Instant(100 + round));
+        w.append_telemetry(&blob, Instant(100 + round)).unwrap();
         w.commit();
         states.push(state);
     }

@@ -339,7 +339,7 @@ mod tests {
     ) -> Vec<Marker> {
         let steps = script.run(driver, max_steps).expect("drive ok");
         for step in &steps {
-            journal.append(&step.marker, step.end);
+            journal.append(&step.marker, step.end).unwrap();
             journal.commit();
         }
         steps.into_iter().map(|t| t.marker).collect()
@@ -450,7 +450,7 @@ mod tests {
                 job: Some(j.clone()),
             },
             Instant(1),
-        );
+        ).unwrap();
         journal.commit();
         let bytes = journal.into_bytes();
 
@@ -583,9 +583,9 @@ mod tests {
             job: Some(Job::new(JobId(id), TaskId(0), vec![0])),
         };
         let mut journal = JournalWriter::new();
-        journal.append(&read(0), Instant(1));
+        journal.append(&read(0), Instant(1)).unwrap();
         journal.commit();
-        journal.append(&read(1), Instant(2));
+        journal.append(&read(1), Instant(2)).unwrap();
 
         let mut sup = Supervisor::new(RestartPolicy::new(3, Duration(4)));
         let (sched, state, _) = sup

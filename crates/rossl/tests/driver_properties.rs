@@ -105,7 +105,7 @@ proptest! {
         let mut pre = Vec::new();
         for _ in 0..k {
             let step = driver.step(&mut env).expect("scripted drive never sticks");
-            journal.append(&step.marker, step.end);
+            journal.append(&step.marker, step.end).unwrap();
             journal.commit();
             pre.push(step.marker);
         }

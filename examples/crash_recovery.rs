@@ -7,9 +7,7 @@
 //! cargo run --example crash_recovery
 //! ```
 
-use rossl::{
-    ClientConfig, DriveError, Driver, FirstByteCodec, RestartPolicy, Scheduler, Script, Supervisor,
-};
+use rossl::{ClientConfig, Driver, FirstByteCodec, RestartPolicy, Scheduler, Script, Supervisor};
 use rossl_journal::{JournalWriter, KIND_EVENT};
 use rossl_model::{Curve, Duration, Instant, Priority, Task, TaskId, TaskSet};
 use rossl_trace::{check_stitched, Marker, StitchedTrace};
@@ -43,10 +41,10 @@ fn drive(
     mut script: Script,
     max_steps: usize,
     journal: &mut JournalWriter,
-) -> Result<Vec<Marker>, DriveError> {
+) -> Result<Vec<Marker>, Box<dyn std::error::Error>> {
     let steps = script.run(driver, max_steps)?;
     for step in &steps {
-        journal.append(&step.marker, step.end);
+        journal.append(&step.marker, step.end)?;
         journal.commit();
     }
     Ok(steps.into_iter().map(|t| t.marker).collect())

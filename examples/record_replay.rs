@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let run = system.simulate(&arrivals, WorstCase, Instant(8_000))?;
     let mut journal = JournalWriter::new();
     for (m, t) in run.trace.iter() {
-        journal.append(m, t);
+        journal.append(m, t)?;
         journal.commit();
     }
     let journal_bytes = journal.into_bytes();

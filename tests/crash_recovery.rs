@@ -53,7 +53,7 @@ fn drive(
 ) -> Vec<Marker> {
     let steps = script.run(driver, max_steps).expect("drive ok");
     for step in &steps {
-        journal.append(&step.marker, step.end);
+        journal.append(&step.marker, step.end).unwrap();
         if commit_each {
             journal.commit();
         }

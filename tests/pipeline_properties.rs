@@ -472,7 +472,7 @@ proptest! {
         loop {
             let (step, done) = ledger.step(&mut driver, &mut env);
             steps += 1;
-            journal.append(&step.marker, step.end);
+            journal.append(&step.marker, step.end).unwrap();
             journal.commit();
             // Crash after the marker is committed: the driver takes no
             // further step — the CrashSweep fork point.
