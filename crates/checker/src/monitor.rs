@@ -18,8 +18,9 @@
 //! them along the executions it observes — and the model checker feeds it
 //! every execution of a bounded configuration.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use rossl::{DegradedEvent, ModePolicy};
 use rossl_model::{Criticality, Job, JobId, Mode, Priority, TaskSet};
@@ -220,11 +221,14 @@ impl std::error::Error for SpecViolation {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpecMonitor {
-    tasks: TaskSet,
+    /// Shared, so that cloning the monitor at a branch point copies no
+    /// task.
+    tasks: Arc<TaskSet>,
     automaton: ProtocolAutomaton,
     state: ProtocolState,
     pending: BTreeMap<JobId, Job>,
-    seen: HashSet<JobId>,
+    /// Ordered, so that [`SpecMonitor::state_digest`] walks it sorted.
+    seen: BTreeSet<JobId>,
     observed: usize,
     degraded: bool,
     shed: Vec<JobId>,
@@ -251,11 +255,11 @@ impl SpecMonitor {
     /// Panics if `n_sockets` is zero.
     pub fn new(tasks: TaskSet, n_sockets: usize) -> SpecMonitor {
         SpecMonitor {
-            tasks,
+            tasks: Arc::new(tasks),
             automaton: ProtocolAutomaton::new(n_sockets),
             state: ProtocolState::INITIAL,
             pending: BTreeMap::new(),
-            seen: HashSet::new(),
+            seen: BTreeSet::new(),
             observed: 0,
             degraded: false,
             shed: Vec::new(),
@@ -374,8 +378,8 @@ impl SpecMonitor {
 
     /// Feeds a canonical digest of the abstract state into `hasher`: the
     /// protocol state, the pending map in key order, the seen-id set in
-    /// sorted order, the observation count, the degradation flag and the
-    /// shed list.
+    /// sorted order (length first, as a slice hashes), the observation
+    /// count, the degradation flag and the shed list.
     ///
     /// This covers everything a future [`SpecMonitor::observe`] or
     /// [`SpecMonitor::observe_degradation`] verdict can depend on, which
@@ -390,9 +394,10 @@ impl SpecMonitor {
             id.hash(hasher);
             job.hash(hasher);
         }
-        let mut seen: Vec<&JobId> = self.seen.iter().collect();
-        seen.sort();
-        seen.hash(hasher);
+        self.seen.len().hash(hasher);
+        for id in &self.seen {
+            id.hash(hasher);
+        }
         self.observed.hash(hasher);
         self.degraded.hash(hasher);
         self.shed.hash(hasher);

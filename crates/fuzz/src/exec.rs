@@ -483,7 +483,7 @@ fn raw_drive(
     driver.scheduler_mut().flush_telemetry();
     let sched = driver.scheduler();
 
-    if let Err(e) = ProtocolAutomaton::new(input.n_sockets).accept(&trace) {
+    if let Err(e) = ProtocolAutomaton::new(input.n_sockets).check(&trace) {
         finding(&mut out.findings, "protocol", format!("{e}"));
     }
     if let Err(e) = check_functional(&trace, tasks) {
@@ -825,7 +825,7 @@ fn timed_drive(
     };
 
     let markers = result.trace.markers();
-    if let Err(e) = ProtocolAutomaton::new(input.n_sockets).accept(markers) {
+    if let Err(e) = ProtocolAutomaton::new(input.n_sockets).check(markers) {
         finding(&mut out.findings, "protocol", format!("timed trace: {e}"));
     }
     if let Err(e) = check_functional(markers, tasks) {

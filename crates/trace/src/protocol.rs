@@ -16,7 +16,8 @@
 //! The automaton also runs one marker at a time as a [`ProtocolCursor`]:
 //! each accepted marker hands back the basic action it closes, with its
 //! job borrowed from the trace. [`ProtocolAutomaton::accept_from`] is a
-//! loop over the cursor, so the action-assembly rules exist once.
+//! loop over the cursor, so the action-assembly rules exist once, and so
+//! is [`ProtocolAutomaton::check`], which keeps only the verdict.
 
 use std::fmt;
 
@@ -344,6 +345,22 @@ impl ProtocolAutomaton {
     /// scheduler protocol.
     pub fn accept(&self, trace: &[Marker]) -> Result<ProtocolRun, ProtocolError> {
         self.accept_from(ProtocolState::INITIAL, trace)
+    }
+
+    /// Checks a whole trace against the protocol from the initial state,
+    /// without assembling its basic actions: the verdict of
+    /// [`ProtocolAutomaton::accept`] for callers that need no
+    /// [`ProtocolRun`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`ProtocolError`], the one `accept` returns.
+    pub fn check(&self, trace: &[Marker]) -> Result<(), ProtocolError> {
+        let mut cursor = self.cursor();
+        for (index, marker) in trace.iter().enumerate() {
+            cursor.push(index, marker)?;
+        }
+        Ok(())
     }
 
     /// Accepts a trace starting in an arbitrary state. Used by incremental

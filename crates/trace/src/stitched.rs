@@ -267,7 +267,7 @@ pub fn check_stitched(
     // the initial state — a restart re-enters at the top of the loop.
     let sts = ProtocolAutomaton::new(n_sockets);
     for (segment, trace) in stitched.segments().iter().enumerate() {
-        sts.accept(trace)
+        sts.check(trace)
             .map_err(|error| StitchedError::Protocol { segment, error })?;
     }
 

@@ -1,7 +1,8 @@
 //! Property-based tests of the protocol automaton over synthetic valid
 //! traces: acceptance is compositional (`accept_from` of a split trace
-//! agrees with accepting the whole), and the basic-action sequence
-//! reconstructs the marker structure.
+//! agrees with accepting the whole), the basic-action sequence
+//! reconstructs the marker structure, and `check` gives `accept`'s
+//! verdict on valid, truncated and mutated traces.
 
 use proptest::prelude::*;
 
@@ -61,8 +62,69 @@ fn arb_valid_trace(n_sockets: usize) -> impl Strategy<Value = Vec<Marker>> {
     })
 }
 
+/// One edit of `trace`, at the marker `at` of the way through it:
+/// delete it, swap it with the next one, copy it to the position `other`
+/// of the way through, move a read to the next socket (one past the last
+/// is out of range), or give its job another id.
+fn mutate(trace: &mut Vec<Marker>, kind: u8, at: f64, other: f64) {
+    if trace.is_empty() {
+        return;
+    }
+    let i = ((trace.len() as f64) * at) as usize;
+    match kind {
+        0 => {
+            trace.remove(i);
+        }
+        1 if i + 1 < trace.len() => trace.swap(i, i + 1),
+        2 => {
+            let marker = trace[i].clone();
+            let j = ((trace.len() as f64) * other) as usize;
+            trace.insert(j, marker);
+        }
+        3 => {
+            if let Marker::ReadEnd { sock, job } = &trace[i] {
+                trace[i] = Marker::ReadEnd {
+                    sock: SocketId(sock.0 + 1),
+                    job: job.clone(),
+                };
+            }
+        }
+        _ => {
+            let retag = |j: &Job| Job::new(JobId(j.id().0 + 1), j.task(), j.data().to_vec());
+            trace[i] = match &trace[i] {
+                Marker::Dispatch(j) => Marker::Dispatch(retag(j)),
+                Marker::Execution(j) => Marker::Execution(retag(j)),
+                Marker::Completion(j) => Marker::Completion(retag(j)),
+                other => other.clone(),
+            };
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `check` returns exactly `accept`'s verdict, the error's index,
+    /// state, marker and violation included, on valid traces, their
+    /// prefixes and their mutations, for one to three sockets.
+    #[test]
+    fn check_agrees_with_accept(
+        traces in (arb_valid_trace(1), arb_valid_trace(2), arb_valid_trace(3)),
+        cut in 0.0f64..1.0,
+        edits in proptest::collection::vec((0u8..5, 0.0f64..1.0, 0.0f64..1.0), 1..4),
+    ) {
+        for (n_sockets, trace) in [(1, traces.0), (2, traces.1), (3, traces.2)] {
+            let sts = ProtocolAutomaton::new(n_sockets);
+            let prefix = &trace[..((trace.len() as f64) * cut) as usize];
+            let mut mutated = trace.clone();
+            for &(kind, at, other) in &edits {
+                mutate(&mut mutated, kind, at, other);
+            }
+            for t in [&trace[..], prefix, &mutated[..]] {
+                prop_assert_eq!(sts.check(t), sts.accept(t).map(|_| ()));
+            }
+        }
+    }
 
     /// Generated loop-structured traces are accepted and end in the
     /// initial state.
