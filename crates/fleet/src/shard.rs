@@ -334,19 +334,20 @@ impl Shard {
         out
     }
 
-    /// The shard's observable history for the cross-shard checker:
-    /// closed segments plus the still-open one (a fenced shard's fence
-    /// already closed its last segment). The `dead` flag is the fence.
+    /// The shard's observable history for the cross-shard checker,
+    /// borrowed: closed segments plus the still-open one (a fenced
+    /// shard's fence already closed its last segment). The `dead` flag is
+    /// the fence.
     #[must_use]
-    pub fn history(&self) -> rossl_verify::ShardHistory {
-        let mut segments = self.segments.clone();
+    pub fn history(&self) -> rossl_verify::ShardHistory<'_> {
+        let mut segments: Vec<&[Marker]> = self.segments.iter().map(Vec::as_slice).collect();
         if !self.fenced {
-            segments.push(self.current.clone());
+            segments.push(&self.current);
         }
         rossl_verify::ShardHistory {
             shard: self.id,
             segments,
-            consumed: self.inbox.consumed.clone(),
+            consumed: &self.inbox.consumed,
             dead: self.fenced,
         }
     }
