@@ -42,7 +42,7 @@ use rossl::{
 use rossl_model::{
     Criticality, Curve, Duration, Job, JobId, Mode, Priority, Task, TaskId, TaskSet,
 };
-use rossl_trace::{check_stitched, Marker, StitchedTrace, Trace};
+use rossl_trace::{check_stitched, Marker, Trace};
 use rossl_verify::{
     check_fleet, CrashSweep, MigratedJob, MigrationManifest, ModelChecker, ShardHistory,
     SpecMonitor,
@@ -387,8 +387,9 @@ fn stitched_digests(table: &mut Vec<(String, u64)>) {
             let (mut generated, _) = generate(&mut rng, &system, &lengths, &[]);
             edits(&mut rng, &mut generated.segments);
             let consumed = consumed(&mut rng, &generated.consumed);
+            let segments: Vec<&[Marker]> = generated.segments.iter().map(Vec::as_slice).collect();
             let result = check_stitched(
-                &StitchedTrace::new(generated.segments),
+                &segments,
                 system.tasks(),
                 system.n_sockets(),
                 consumed.as_deref(),

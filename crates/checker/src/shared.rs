@@ -1,10 +1,9 @@
 //! Internals shared by the exploration engines ([`crate::ModelChecker`]
-//! and [`crate::CrashSweep`]): the branching rule both walks follow,
-//! persistent (`Arc`-linked) trace prefixes and branch paths, and the
-//! cross-worker deterministic failure state.
+//! and [`crate::CrashSweep`]): the branching rule both walks follow and
+//! the cross-worker deterministic failure state.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use rossl::{ClientConfig, FirstByteCodec, Request, Response, Scheduler};
 use rossl_model::{Criticality, Duration, Job, MsgData};
@@ -89,69 +88,13 @@ pub(crate) fn count_delivery(consumed: &mut [usize], marker: &Marker) {
     }
 }
 
-/// Persistent (`Arc`-linked) trace prefix. Branching shares the prefix in
-/// O(1) instead of cloning the whole marker vector per node — the eager
-/// representation cost O(depth²) clones per explored branch — and the
-/// vector is materialized only at leaves and failures, where it is needed
-/// anyway.
-pub(crate) struct TraceNode {
-    marker: Marker,
-    parent: TraceLink,
-}
-
-pub(crate) type TraceLink = Option<Arc<TraceNode>>;
-
-pub(crate) fn push_trace(link: &TraceLink, marker: Marker) -> TraceLink {
-    Some(Arc::new(TraceNode {
-        marker,
-        parent: link.clone(),
-    }))
-}
-
-pub(crate) fn materialize_trace(link: &TraceLink) -> Vec<Marker> {
-    let mut out = Vec::new();
-    let mut cur = link;
-    while let Some(node) = cur {
-        out.push(node.marker.clone());
-        cur = &node.parent;
-    }
-    out.reverse();
-    out
-}
-
-/// Persistent branch-decision path. Lexicographic order on materialized
-/// paths equals sequential depth-first discovery order when each engine
-/// assigns the digit explored first the smaller value.
-pub(crate) struct PathNode {
-    digit: u8,
-    parent: PathLink,
-}
-
-pub(crate) type PathLink = Option<Arc<PathNode>>;
-
-pub(crate) fn push_path(link: &PathLink, digit: u8) -> PathLink {
-    Some(Arc::new(PathNode {
-        digit,
-        parent: link.clone(),
-    }))
-}
-
-pub(crate) fn materialize_path(link: &PathLink) -> Vec<u8> {
-    let mut out = Vec::new();
-    let mut cur = link;
-    while let Some(node) = cur {
-        out.push(node.digit);
-        cur = &node.parent;
-    }
-    out.reverse();
-    out
-}
-
 /// Cross-worker failure state: the failure with the lexicographically
 /// smallest branch path wins, and any subtree whose path can no longer
-/// beat the incumbent is skipped. Because nothing that could beat the
-/// incumbent is ever skipped, the reported counterexample is independent
-/// of thread count and exploration order.
+/// beat the incumbent is skipped. Lexicographic order on paths equals
+/// sequential depth-first discovery order when an engine gives the digit
+/// it explores first the smaller value. Because nothing that could beat
+/// the incumbent is ever skipped, the reported counterexample is
+/// independent of thread count and exploration order.
 pub(crate) struct FailState<V> {
     found: AtomicBool,
     best: Mutex<MinKeyed<Vec<u8>, V>>,

@@ -47,7 +47,6 @@ use rossl_sockets::{ReadOutcome, SocketSet};
 use rossl_timing::{check_consistency, check_wcet_compliance, Simulator, UniformCost};
 use rossl_trace::{
     check_functional, check_stitched, pending_jobs, Marker, MarkerKind, ProtocolAutomaton,
-    StitchedTrace,
 };
 use rossl_verify::SpecMonitor;
 
@@ -769,8 +768,8 @@ fn crash_oracles(
 
     // The stitched verdict: per-segment protocol, cross-seam functional
     // correctness, and the consumed-message accounting.
-    let stitched = StitchedTrace::new(vec![committed, seg1]);
-    if let Err(e) = check_stitched(&stitched, tasks, input.n_sockets, Some(&env.consumed)) {
+    let segments = [committed.as_slice(), seg1.as_slice()];
+    if let Err(e) = check_stitched(&segments, tasks, input.n_sockets, Some(&env.consumed)) {
         finding(&mut out.findings, "stitched", format!("{e}"));
     }
 }

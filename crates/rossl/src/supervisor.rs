@@ -21,8 +21,8 @@
 //! time lives in the driver, and determinism (same journal + same
 //! policy ⇒ same recovery) is what the replay guarantee rests on.
 //!
-//! The pre-crash committed trace and the post-crash trace are stitched
-//! into a [`StitchedTrace`](rossl_trace::StitchedTrace) and checked with
+//! The pre-crash committed trace and the post-crash trace are checked
+//! as the segments of one stitched trace with
 //! [`check_stitched`](rossl_trace::check_stitched) — per-segment
 //! protocol, cross-seam functional correctness, and the seam rule (no
 //! duplicated completion, no lost accepted job).
@@ -306,7 +306,7 @@ mod tests {
     use crate::driver::{Driver, Script};
     use rossl_journal::JournalWriter;
     use rossl_model::{Curve, Instant, Priority, Task, TaskId, TaskSet};
-    use rossl_trace::{check_stitched, StitchedTrace};
+    use rossl_trace::check_stitched;
 
     fn config() -> ClientConfig {
         let tasks = TaskSet::new(vec![
@@ -389,8 +389,8 @@ mod tests {
 
         // The stitched trace passes all three checking layers, with the
         // environment having consumed exactly one message from sock 0.
-        let st = StitchedTrace::new(vec![seg0, seg1]);
-        let report = check_stitched(&st, config().tasks(), 1, Some(&[1])).expect("stitched");
+        let report =
+            check_stitched(&[&seg0, &seg1], config().tasks(), 1, Some(&[1])).expect("stitched");
         assert_eq!(report.jobs_completed, 1);
         assert_eq!(report.redispatched, vec![JobId(0)]);
     }

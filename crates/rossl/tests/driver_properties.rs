@@ -16,7 +16,7 @@ use rossl_journal::{JournalWriter, KIND_EVENT};
 use rossl_model::{
     Curve, Duration, Instant, MsgData, Priority, SocketId, Task, TaskId, TaskSet, WcetTable,
 };
-use rossl_trace::{check_stitched, Marker, StitchedTrace};
+use rossl_trace::{check_stitched, Marker};
 
 fn tasks() -> TaskSet {
     TaskSet::new(vec![
@@ -137,8 +137,7 @@ proptest! {
             .map(|_| driver.step(&mut env).expect("post-crash drive never sticks").marker)
             .collect();
 
-        let stitched = StitchedTrace::new(vec![pre, post]);
-        let checked = check_stitched(&stitched, config.tasks(), n_sockets, Some(&env.consumed));
+        let checked = check_stitched(&[&pre, &post], config.tasks(), n_sockets, Some(&env.consumed));
         prop_assert!(checked.is_ok(), "stitched check failed: {:?}", checked);
     }
 }

@@ -69,9 +69,7 @@ pub use protocol::{
 };
 pub use sets::{pending_jobs, read_jobs};
 pub use stats::TraceStats;
-pub use stitched::{
-    check_stitched, SeamViolation, StitchedCheck, StitchedError, StitchedReport, StitchedTrace,
-};
+pub use stitched::{check_stitched, SeamViolation, StitchedCheck, StitchedError, StitchedReport};
 
 /// A trace of marker functions, ordered by emission.
 pub type Trace = Vec<Marker>;

@@ -2,9 +2,9 @@
 //!
 //! A crash partitions the scheduler's history into *segments*: the
 //! committed journal prefix before each crash, and the fresh trace the
-//! restarted scheduler emits afterwards. A [`StitchedTrace`] holds these
-//! segments in order; [`check_stitched`] extends Defs 3.1 and 3.2 to the
-//! stitched whole:
+//! restarted scheduler emits afterwards. [`check_stitched`] takes these
+//! segments in order, as borrowed slices, and extends Defs 3.1 and 3.2
+//! to the stitched whole:
 //!
 //! * **Protocol, per segment** — each segment must independently satisfy
 //!   the scheduler protocol from [`ProtocolState::INITIAL`]: a restart
@@ -54,56 +54,6 @@ use rossl_model::{Job, JobId, SocketId, TaskSet};
 use crate::functional::{FunctionalCheck, FunctionalError};
 use crate::marker::Marker;
 use crate::protocol::{ProtocolAutomaton, ProtocolError};
-use crate::Trace;
-
-/// A logical trace assembled from crash-separated segments.
-///
-/// Segment `0` is the (journal-recovered) trace up to the first crash,
-/// segment `1` the trace of the first restart, and so on. A run with no
-/// crashes is a stitched trace with one segment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StitchedTrace {
-    segments: Vec<Trace>,
-}
-
-impl StitchedTrace {
-    /// Builds a stitched trace from its segments, in crash order.
-    pub fn new(segments: Vec<Trace>) -> StitchedTrace {
-        StitchedTrace { segments }
-    }
-
-    /// Wraps a crash-free trace as a single segment.
-    pub fn single(trace: Trace) -> StitchedTrace {
-        StitchedTrace {
-            segments: vec![trace],
-        }
-    }
-
-    /// The segments, in order.
-    pub fn segments(&self) -> &[Trace] {
-        &self.segments
-    }
-
-    /// Number of crash/restart seams (segments minus one).
-    pub fn seam_count(&self) -> usize {
-        self.segments.len().saturating_sub(1)
-    }
-
-    /// Total number of markers across all segments.
-    pub fn len(&self) -> usize {
-        self.segments.iter().map(Vec::len).sum()
-    }
-
-    /// Whether the stitched trace contains no markers at all.
-    pub fn is_empty(&self) -> bool {
-        self.segments.iter().all(Vec::is_empty)
-    }
-
-    /// Iterates over all markers in logical order, ignoring seams.
-    pub fn markers(&self) -> impl Iterator<Item = &Marker> {
-        self.segments.iter().flatten()
-    }
-}
 
 /// A violation of the crash-seam well-formedness rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -222,7 +172,10 @@ pub struct StitchedReport {
 /// Checks a stitched trace: per-segment protocol, cross-segment
 /// functional correctness, and crash-seam well-formedness.
 ///
-/// `consumed`, when provided, gives the number of messages the
+/// `segments` are the history's segments in crash order: segment `0` is
+/// the (journal-recovered) trace up to the first crash, segment `1` the
+/// trace of the first restart, and so on. A run with no crashes is one
+/// segment. `consumed`, when provided, gives the number of messages the
 /// environment recorded as consumed per socket (index = socket id); it
 /// enables the lost-accepted-job check, which is impossible from the
 /// trace alone.
@@ -243,7 +196,7 @@ pub struct StitchedReport {
 /// [`SeamViolation::DuplicateDispatch`] — with protocol checked first,
 /// `DuplicateCompletion` was unreachable.)
 pub fn check_stitched(
-    stitched: &StitchedTrace,
+    segments: &[&[Marker]],
     tasks: &TaskSet,
     n_sockets: usize,
     consumed: Option<&[usize]>,
@@ -251,7 +204,7 @@ pub fn check_stitched(
     // Layers 1 and 2: one functional pass with seam rules over all
     // segments, then the accepted-job accounting against the environment.
     let mut check = StitchedCheck::new(tasks, n_sockets);
-    for (segment, trace) in stitched.segments().iter().enumerate() {
+    for (segment, trace) in segments.iter().enumerate() {
         if segment > 0 {
             check.restart();
         }
@@ -266,7 +219,7 @@ pub fn check_stitched(
     // Layer 3: each segment independently satisfies the protocol from
     // the initial state — a restart re-enters at the top of the loop.
     let sts = ProtocolAutomaton::new(n_sockets);
-    for (segment, trace) in stitched.segments().iter().enumerate() {
+    for (segment, trace) in segments.iter().enumerate() {
         sts.check(trace)
             .map_err(|error| StitchedError::Protocol { segment, error })?;
     }
@@ -501,8 +454,7 @@ mod tests {
         seg1.push(Marker::Selection);
         seg1.push(Marker::Idling);
 
-        let st = StitchedTrace::new(vec![seg0, seg1]);
-        let report = check_stitched(&st, &tasks(), 1, Some(&[1])).unwrap();
+        let report = check_stitched(&[&seg0, &seg1], &tasks(), 1, Some(&[1])).unwrap();
         assert_eq!(report.jobs_completed, 1);
         assert_eq!(report.jobs_pending_at_end, 0);
         assert!(report.redispatched.is_empty());
@@ -526,8 +478,7 @@ mod tests {
         seg1.push(Marker::Execution(job(0, 0)));
         seg1.push(Marker::Completion(job(0, 0)));
 
-        let st = StitchedTrace::new(vec![seg0, seg1]);
-        let report = check_stitched(&st, &tasks(), 1, Some(&[1])).unwrap();
+        let report = check_stitched(&[&seg0, &seg1], &tasks(), 1, Some(&[1])).unwrap();
         assert_eq!(report.jobs_completed, 1);
         assert_eq!(report.redispatched, vec![JobId(0)]);
     }
@@ -549,8 +500,7 @@ mod tests {
         seg1.push(Marker::Selection);
         seg1.push(Marker::Dispatch(job(0, 0))); // low before high: violation
 
-        let st = StitchedTrace::new(vec![seg0, seg1]);
-        let err = check_stitched(&st, &tasks(), 1, None).unwrap_err();
+        let err = check_stitched(&[&seg0, &seg1], &tasks(), 1, None).unwrap_err();
         assert!(matches!(
             err,
             StitchedError::Functional {
@@ -575,8 +525,7 @@ mod tests {
         seg1.push(Marker::Selection);
         seg1.push(Marker::Dispatch(job(0, 0)));
 
-        let st = StitchedTrace::new(vec![seg0, seg1]);
-        let err = check_stitched(&st, &tasks(), 1, None).unwrap_err();
+        let err = check_stitched(&[&seg0, &seg1], &tasks(), 1, None).unwrap_err();
         assert_eq!(
             err,
             StitchedError::Seam(SeamViolation::DuplicateDispatch {
@@ -603,8 +552,7 @@ mod tests {
         seg0.push(Marker::Completion(job(0, 0)));
         let seg1 = vec![Marker::Completion(job(0, 0))];
 
-        let st = StitchedTrace::new(vec![seg0, seg1]);
-        let err = check_stitched(&st, &tasks(), 1, None).unwrap_err();
+        let err = check_stitched(&[&seg0, &seg1], &tasks(), 1, None).unwrap_err();
         assert_eq!(
             err,
             StitchedError::Seam(SeamViolation::DuplicateCompletion {
@@ -628,8 +576,7 @@ mod tests {
         seg0.push(Marker::Completion(job(0, 0)));
         seg0.push(Marker::Completion(job(0, 0)));
 
-        let st = StitchedTrace::new(vec![seg0]);
-        let err = check_stitched(&st, &tasks(), 1, None).unwrap_err();
+        let err = check_stitched(&[&seg0], &tasks(), 1, None).unwrap_err();
         assert_eq!(
             err,
             StitchedError::Seam(SeamViolation::DuplicateCompletion {
@@ -653,8 +600,7 @@ mod tests {
         seg0.push(Marker::Execution(job(0, 0)));
         seg0.push(Marker::Completion(job(0, 0)));
 
-        let st = StitchedTrace::new(vec![seg0]);
-        let err = check_stitched(&st, &tasks(), 1, Some(&[0])).unwrap_err();
+        let err = check_stitched(&[&seg0], &tasks(), 1, Some(&[0])).unwrap_err();
         assert_eq!(
             err,
             StitchedError::Seam(SeamViolation::LostAcceptedJob {
@@ -680,9 +626,8 @@ mod tests {
         seg1.push(Marker::Selection);
         seg1.push(Marker::Idling);
 
-        let st = StitchedTrace::new(vec![seg0, seg1]);
         // The environment consumed one message from sock0.
-        let err = check_stitched(&st, &tasks(), 1, Some(&[1])).unwrap_err();
+        let err = check_stitched(&[&seg0, &seg1], &tasks(), 1, Some(&[1])).unwrap_err();
         assert_eq!(
             err,
             StitchedError::Seam(SeamViolation::LostAcceptedJob {
@@ -703,8 +648,7 @@ mod tests {
             sock: SocketId(0),
             job: None,
         }];
-        let st = StitchedTrace::new(vec![seg0, seg1]);
-        let err = check_stitched(&st, &tasks(), 1, None).unwrap_err();
+        let err = check_stitched(&[&seg0, &seg1], &tasks(), 1, None).unwrap_err();
         assert!(matches!(err, StitchedError::Protocol { segment: 1, .. }));
     }
 
@@ -717,9 +661,7 @@ mod tests {
         tr.push(Marker::Dispatch(job(0, 1)));
         tr.push(Marker::Execution(job(0, 1)));
         tr.push(Marker::Completion(job(0, 1)));
-        let st = StitchedTrace::single(tr);
-        assert_eq!(st.seam_count(), 0);
-        let report = check_stitched(&st, &tasks(), 1, Some(&[1])).unwrap();
+        let report = check_stitched(&[&tr], &tasks(), 1, Some(&[1])).unwrap();
         assert_eq!(report.jobs_completed, 1);
     }
 
@@ -775,8 +717,7 @@ mod tests {
         seg1.push(Marker::Dispatch(job(0, 0)));
         seg1.push(Marker::Execution(job(0, 0)));
         seg1.push(Marker::Completion(job(0, 0)));
-        let st = StitchedTrace::new(vec![seg0, seg1]);
-        let report = check_stitched(&st, &tasks, 1, Some(&[1])).unwrap();
+        let report = check_stitched(&[&seg0, &seg1], &tasks, 1, Some(&[1])).unwrap();
         assert_eq!(report.jobs_completed, 1);
 
         // Dispatching the suspended job while still in HI mode is the
@@ -792,7 +733,7 @@ mod tests {
         bad.extend(read_fail(0));
         bad.push(Marker::Selection);
         bad.push(Marker::Dispatch(job(0, 0)));
-        let err = check_stitched(&StitchedTrace::single(bad), &tasks, 1, None).unwrap_err();
+        let err = check_stitched(&[&bad], &tasks, 1, None).unwrap_err();
         assert!(matches!(
             err,
             StitchedError::Functional {
@@ -819,8 +760,7 @@ mod tests {
             from: Mode::Hi,
             to: Mode::Lo,
         }];
-        let st = StitchedTrace::new(vec![seg0, seg1]);
-        let err = check_stitched(&st, &tasks(), 1, None).unwrap_err();
+        let err = check_stitched(&[&seg0, &seg1], &tasks(), 1, None).unwrap_err();
         assert!(matches!(
             err,
             StitchedError::Functional {
@@ -836,9 +776,7 @@ mod tests {
 
     #[test]
     fn empty_stitched_trace_is_valid() {
-        let st = StitchedTrace::new(vec![vec![], vec![]]);
-        assert!(st.is_empty());
-        let report = check_stitched(&st, &tasks(), 2, Some(&[0, 0])).unwrap();
+        let report = check_stitched(&[&[], &[]], &tasks(), 2, Some(&[0, 0])).unwrap();
         assert_eq!(report.jobs_completed, 0);
     }
 }

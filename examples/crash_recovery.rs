@@ -10,7 +10,7 @@
 use rossl::{ClientConfig, Driver, FirstByteCodec, RestartPolicy, Scheduler, Script, Supervisor};
 use rossl_journal::{JournalWriter, KIND_EVENT};
 use rossl_model::{Curve, Duration, Instant, Priority, Task, TaskId, TaskSet};
-use rossl_trace::{check_stitched, Marker, StitchedTrace};
+use rossl_trace::{check_stitched, Marker};
 use rossl_verify::CrashSweep;
 
 fn config() -> Result<ClientConfig, Box<dyn std::error::Error>> {
@@ -99,8 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The stitched trace must pass the per-segment protocol automaton,
     // the cross-seam functional checker, and the seam accounting — here
     // against an environment that consumed exactly one message.
-    let stitched = StitchedTrace::new(vec![seg0, seg1]);
-    let report = check_stitched(&stitched, config()?.tasks(), 1, Some(&[1]))?;
+    let report = check_stitched(&[&seg0, &seg1], config()?.tasks(), 1, Some(&[1]))?;
     println!(
         "\nstitched check: {} job(s) completed, redispatched across the seam: {:?}",
         report.jobs_completed, report.redispatched

@@ -17,7 +17,7 @@
 use rossl::{ClientConfig, Driver, FirstByteCodec, RestartPolicy, Scheduler, Script, Supervisor};
 use rossl_journal::{recover, JournalError, JournalWriter, KIND_EVENT};
 use rossl_model::{Curve, Duration, Instant, Priority, Task, TaskId, TaskSet};
-use rossl_trace::{check_stitched, Marker, SeamViolation, StitchedError, StitchedTrace};
+use rossl_trace::{check_stitched, Marker, SeamViolation, StitchedError};
 use rossl_verify::CrashSweep;
 
 fn two_task_config(sockets: usize) -> ClientConfig {
@@ -155,7 +155,7 @@ fn lazy_commit_journal_loses_an_accepted_job_and_the_checker_notices() {
     // pre-crash segment, then the idle run. The environment consumed one
     // message — the checker must flag the loss.
     let err = check_stitched(
-        &StitchedTrace::new(vec![Vec::new(), seg1]),
+        &[&[], &seg1],
         two_task_config(1).tasks(),
         1,
         Some(&[1]),
