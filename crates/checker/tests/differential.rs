@@ -8,14 +8,15 @@
 //! over randomly generated configurations (task priorities, per-socket
 //! message queues, depth bounds, and optionally a divergent
 //! specification that forces a counterexample) and asserts agreement on
-//! every case.
+//! every case. A second property does the same for [`CrashSweep`] across
+//! thread counts.
 
 use proptest::prelude::*;
 
-use rossl::ClientConfig;
-use rossl_model::{Curve, Duration, MsgData, Priority, Task, TaskId, TaskSet};
+use rossl::{ClientConfig, ModePolicy};
+use rossl_model::{Criticality, Curve, Duration, MsgData, Priority, Task, TaskId, TaskSet};
 use rossl_trace::Marker;
-use rossl_verify::{CheckOutcome, ModelChecker};
+use rossl_verify::{CheckOutcome, CrashSweep, CrashSweepOutcome, ModelChecker};
 
 fn tasks(prio0: u32, prio1: u32) -> TaskSet {
     TaskSet::new(vec![
@@ -90,6 +91,85 @@ fn checker_for(s: &Scenario) -> ModelChecker {
     }
 }
 
+/// One random crash-sweep scenario: message queues for one or two
+/// sockets, a depth bound, a recovery budget, and whether an AMC policy
+/// branches on the HI task's overruns.
+#[derive(Debug, Clone)]
+struct SweepScenario {
+    sockets: usize,
+    msgs: Vec<Vec<MsgData>>,
+    depth: usize,
+    budget: usize,
+    amc: bool,
+}
+
+fn arb_sweep_scenario() -> impl Strategy<Value = SweepScenario> {
+    let queue = proptest::collection::vec((0u8..2).prop_map(|b| vec![b]), 0..=3);
+    (
+        1usize..=2,
+        (queue.clone(), queue),
+        6usize..=16,
+        2usize..=6,
+        proptest::bool::ANY,
+    )
+        .prop_map(|(sockets, (q0, q1), depth, budget, amc)| {
+            let mut msgs = vec![q0, q1];
+            msgs.truncate(sockets);
+            SweepScenario {
+                sockets,
+                msgs,
+                depth,
+                budget,
+                amc,
+            }
+        })
+}
+
+/// A LO task and a HI task whose `C_HI` exceeds its `C_LO` by 7 ticks.
+fn mixed_tasks() -> TaskSet {
+    TaskSet::new(vec![
+        Task::new(
+            TaskId(0),
+            "lo",
+            Priority(1),
+            Duration(5),
+            Curve::sporadic(Duration(10)),
+        )
+        .with_criticality(Criticality::Lo),
+        Task::new(
+            TaskId(1),
+            "hi",
+            Priority(9),
+            Duration(5),
+            Curve::sporadic(Duration(10)),
+        )
+        .with_criticality(Criticality::Hi)
+        .with_wcet_hi(Duration(12)),
+    ])
+    .unwrap()
+}
+
+fn sweep_for(s: &SweepScenario) -> CrashSweep {
+    let config = ClientConfig::new(mixed_tasks(), s.sockets).unwrap();
+    let sweep = CrashSweep::new(config, s.msgs.clone(), s.depth).with_recovery_budget(s.budget);
+    if s.amc {
+        sweep.with_mode_policy(ModePolicy::Amc {
+            hysteresis_idles: 1,
+        })
+    } else {
+        sweep
+    }
+}
+
+/// A sweep result with the counterexample flattened to comparable parts.
+type SweepVerdict = Result<CrashSweepOutcome, (usize, Vec<Vec<Marker>>, String)>;
+
+fn sweep_verdict(sweep: &CrashSweep) -> SweepVerdict {
+    sweep
+        .sweep()
+        .map_err(|f| (f.crash_at, f.segments, f.reason))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -117,6 +197,18 @@ proptest! {
         if let Ok((outcome, stats)) = mc.check_with_stats() {
             prop_assert_eq!(stats.explored_paths + stats.pruned_paths, outcome.paths, "{:?}", s);
             prop_assert_eq!(stats.explored_steps + stats.pruned_steps, outcome.steps, "{:?}", s);
+        }
+    }
+
+    /// The sweep on a pool reports what the one-thread sweep reports,
+    /// whichever worker walks which parked or donated subtree.
+    #[test]
+    fn crash_sweeps_match_across_thread_counts(s in arb_sweep_scenario()) {
+        let sweep = sweep_for(&s);
+        let baseline = sweep_verdict(&sweep);
+        for threads in [2, 8] {
+            let variant = sweep_verdict(&sweep.clone().with_threads(threads));
+            prop_assert_eq!(&variant, &baseline, "{} threads diverged on {:?}", threads, s);
         }
     }
 }
