@@ -10,7 +10,9 @@
 //! benchmark doubles as an end-to-end determinism check. A second
 //! section demonstrates that the folded [`CrashSweep`] explores a number
 //! of steps *linear* in the depth bound (the pre-fold implementation was
-//! quadratic: it re-walked the whole prefix once per crash point).
+//! quadratic: it re-walked the whole prefix once per crash point), and a
+//! third runs a crash sweep that branches on the pool and asserts that
+//! it reports exactly the one-thread sweep.
 //!
 //! Results are written to `BENCH_verify.json` in the working directory
 //! (the `BENCH_*.json` perf-trajectory convention) and summarized in the
@@ -20,7 +22,7 @@ use std::fmt::Write as _;
 use std::time::Instant as Wall;
 
 use rossl::ClientConfig;
-use rossl_model::{Curve, Duration, Priority, Task, TaskId, TaskSet};
+use rossl_model::{Curve, Duration, MsgData, Priority, Task, TaskId, TaskSet};
 use rossl_verify::{CheckOutcome, CrashSweep, ExploreStats, ModelChecker};
 
 fn bench_tasks() -> TaskSet {
@@ -43,18 +45,19 @@ fn bench_tasks() -> TaskSet {
     .expect("bench task set is valid")
 }
 
-/// The E18 exploration workload: two sockets with interleaved
-/// opposite-priority message queues — enough read nondeterminism that
-/// the behaviour tree grows exponentially in the depth bound, while
-/// idle-cycle and delivery-order confluence gives deduplication real
-/// structure to exploit.
+/// The E18 environment: two sockets with interleaved opposite-priority
+/// message queues — enough read nondeterminism that the behaviour tree
+/// grows exponentially in the depth bound, while idle-cycle and
+/// delivery-order confluence gives deduplication real structure to
+/// exploit.
+fn bench_pending() -> Vec<Vec<MsgData>> {
+    vec![vec![vec![0], vec![1], vec![0]], vec![vec![1], vec![0]]]
+}
+
+/// The E18 exploration workload.
 fn bench_checker(depth: usize) -> ModelChecker {
     let config = ClientConfig::new(bench_tasks(), 2).expect("bench config is valid");
-    ModelChecker::new(
-        config,
-        vec![vec![vec![0], vec![1], vec![0]], vec![vec![1], vec![0]]],
-        depth,
-    )
+    ModelChecker::new(config, bench_pending(), depth)
 }
 
 /// One timed run of one exploration mode.
@@ -252,8 +255,68 @@ pub fn exp_verify_bench(smoke: bool) -> String {
     }
     let _ = writeln!(out, "  steps per crash point is constant: the fold is linear in max_steps");
 
+    // A crash sweep that branches: the interleaved queues above, where
+    // the walk parks acted children and hands the shallowest to an idle
+    // worker. The pool must report exactly the one-thread sweep.
+    let branching_depths: &[usize] = if smoke { &[12, 24] } else { &[16, 32] };
+    let mut branching_rows = String::new();
+    let _ = writeln!(
+        out,
+        "crash sweep (recovery budget {budget}, two sockets, interleaved queues):"
+    );
+    for &depth in branching_depths {
+        let config = ClientConfig::new(bench_tasks(), 2).expect("config");
+        let sweep = CrashSweep::new(config, bench_pending(), depth).with_recovery_budget(budget);
+        let start = Wall::now();
+        let outcome = sweep.sweep().expect("the interleaved crash sweep passes");
+        let sequential_secs = start.elapsed().as_secs_f64();
+        let start = Wall::now();
+        let pooled = sweep
+            .with_threads(threads)
+            .sweep()
+            .expect("the interleaved crash sweep passes on the pool");
+        let pool_secs = start.elapsed().as_secs_f64();
+        assert_eq!(
+            pooled, outcome,
+            "the crash sweep on {threads} threads diverged from one thread at depth {depth}"
+        );
+        let speedup = sequential_secs / pool_secs.max(1e-9);
+        let _ = writeln!(
+            out,
+            "  depth {:>3}: {:>6} steps, {} recoveries, {} stitched traces, {:.3}s on 1 thread, {:.3}s on {threads} ({:.2}x)",
+            depth,
+            outcome.steps,
+            outcome.recoveries,
+            outcome.stitched_checked,
+            sequential_secs,
+            pool_secs,
+            speedup
+        );
+        if !branching_rows.is_empty() {
+            branching_rows.push_str(",\n");
+        }
+        let _ = write!(
+            branching_rows,
+            concat!(
+                "    {{\"depth\": {}, \"recovery_budget\": {}, \"steps\": {}, ",
+                "\"recoveries\": {}, \"stitched_checked\": {}, \"redispatched\": {}, ",
+                "\"sequential_secs\": {:.6}, \"pool_secs\": {:.6}, \"speedup\": {:.3}}}"
+            ),
+            depth,
+            budget,
+            outcome.steps,
+            outcome.recoveries,
+            outcome.stitched_checked,
+            outcome.redispatched,
+            sequential_secs,
+            pool_secs,
+            speedup
+        );
+    }
+    let _ = writeln!(out, "  every pool outcome equals the one-thread sweep's");
+
     let json = format!(
-        "{{\n  \"experiment\": \"E18\",\n  \"smoke\": {smoke},\n  \"pool_threads\": {threads},\n  \"explore\": [\n{rows}\n  ],\n  \"crash_sweep\": [\n{crash_rows}\n  ]\n}}\n"
+        "{{\n  \"experiment\": \"E18\",\n  \"smoke\": {smoke},\n  \"pool_threads\": {threads},\n  \"explore\": [\n{rows}\n  ],\n  \"crash_sweep\": [\n{crash_rows}\n  ],\n  \"crash_sweep_branching\": [\n{branching_rows}\n  ]\n}}\n"
     );
     match std::fs::write("BENCH_verify.json", &json) {
         Ok(()) => {
@@ -280,5 +343,9 @@ mod tests {
         assert!(report.contains("identical outcome"), "report:\n{report}");
         assert!(report.contains("seeded-bug fixture"), "report:\n{report}");
         assert!(report.contains("linear in max_steps"), "report:\n{report}");
+        assert!(
+            report.contains("every pool outcome equals the one-thread sweep's"),
+            "report:\n{report}"
+        );
     }
 }
