@@ -6,9 +6,9 @@
 //! (trace and reason) on failure. This property test drives all modes —
 //! sequential, 2 and 8 pool threads, deduplication, and both combined —
 //! over randomly generated configurations (task priorities, per-socket
-//! message queues, depth bounds, and optionally a divergent
-//! specification that forces a counterexample) and asserts agreement on
-//! every case. A second property does the same for [`CrashSweep`] across
+//! message queues, depth bounds, optionally a divergent specification
+//! that forces a counterexample, and optionally a mode policy whose HI
+//! overruns add branch points) and asserts agreement on every case. A second property does the same for [`CrashSweep`] across
 //! thread counts.
 
 use proptest::prelude::*;
@@ -38,6 +38,31 @@ fn tasks(prio0: u32, prio1: u32) -> TaskSet {
     .unwrap()
 }
 
+/// A LO task and a HI task of the given priorities, whose `C_HI`
+/// exceeds its `C_LO` by 7 ticks.
+fn mixed_tasks(prio0: u32, prio1: u32) -> TaskSet {
+    TaskSet::new(vec![
+        Task::new(
+            TaskId(0),
+            "lo",
+            Priority(prio0),
+            Duration(5),
+            Curve::sporadic(Duration(10)),
+        )
+        .with_criticality(Criticality::Lo),
+        Task::new(
+            TaskId(1),
+            "hi",
+            Priority(prio1),
+            Duration(5),
+            Curve::sporadic(Duration(10)),
+        )
+        .with_criticality(Criticality::Hi)
+        .with_wcet_hi(Duration(12)),
+    ])
+    .unwrap()
+}
+
 /// A run result with the counterexample flattened to comparable parts.
 type Verdict = Result<CheckOutcome, (Vec<Marker>, String)>;
 
@@ -46,7 +71,8 @@ fn verdict(mc: &ModelChecker) -> Verdict {
 }
 
 /// One random scenario: priorities, a possibly-divergent spec, message
-/// queues for up to two sockets, and a depth bound.
+/// queues for up to two sockets, a depth bound, and optionally a mode
+/// policy.
 #[derive(Debug, Clone)]
 struct Scenario {
     prios: (u32, u32),
@@ -57,18 +83,32 @@ struct Scenario {
     sockets: usize,
     msgs: Vec<Vec<MsgData>>,
     depth: usize,
+    /// With a policy the tasks are a LO/HI pair with `C_HI` headroom, so
+    /// every `Execute` of the HI task in LO mode is an overrun branch
+    /// point.
+    policy: Option<ModePolicy>,
 }
 
 fn arb_scenario() -> impl Strategy<Value = Scenario> {
     let queue = proptest::collection::vec((0u8..2).prop_map(|b| vec![b]), 0..4);
+    let policy = prop_oneof![
+        Just(None),
+        Just(Some(ModePolicy::Amc {
+            hysteresis_idles: 1
+        })),
+        Just(Some(ModePolicy::Adaptive {
+            hysteresis_idles: 1
+        })),
+    ];
     (
         (1u32..10, 1u32..10),
         proptest::bool::ANY,
         1usize..=2,
         (queue.clone(), queue),
         12usize..=30,
+        policy,
     )
-        .prop_map(|(prios, diverge, sockets, (q0, q1), depth)| {
+        .prop_map(|(prios, diverge, sockets, (q0, q1), depth, policy)| {
             let mut msgs = vec![q0, q1];
             msgs.truncate(sockets);
             Scenario {
@@ -77,17 +117,24 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
                 sockets,
                 msgs,
                 depth,
+                policy,
             }
         })
 }
 
 fn checker_for(s: &Scenario) -> ModelChecker {
-    let config = ClientConfig::new(tasks(s.prios.0, s.prios.1), s.sockets).unwrap();
-    let mc = ModelChecker::new(config, s.msgs.clone(), s.depth);
+    let set = |prio0, prio1| match s.policy {
+        Some(_) => mixed_tasks(prio0, prio1),
+        None => tasks(prio0, prio1),
+    };
+    let config = ClientConfig::new(set(s.prios.0, s.prios.1), s.sockets).unwrap();
+    let mut mc = ModelChecker::new(config, s.msgs.clone(), s.depth);
     if s.diverge {
-        mc.with_spec_tasks(tasks(s.prios.1, s.prios.0))
-    } else {
-        mc
+        mc = mc.with_spec_tasks(set(s.prios.1, s.prios.0));
+    }
+    match s.policy {
+        Some(policy) => mc.with_mode_policy(policy),
+        None => mc,
     }
 }
 
@@ -125,32 +172,8 @@ fn arb_sweep_scenario() -> impl Strategy<Value = SweepScenario> {
         })
 }
 
-/// A LO task and a HI task whose `C_HI` exceeds its `C_LO` by 7 ticks.
-fn mixed_tasks() -> TaskSet {
-    TaskSet::new(vec![
-        Task::new(
-            TaskId(0),
-            "lo",
-            Priority(1),
-            Duration(5),
-            Curve::sporadic(Duration(10)),
-        )
-        .with_criticality(Criticality::Lo),
-        Task::new(
-            TaskId(1),
-            "hi",
-            Priority(9),
-            Duration(5),
-            Curve::sporadic(Duration(10)),
-        )
-        .with_criticality(Criticality::Hi)
-        .with_wcet_hi(Duration(12)),
-    ])
-    .unwrap()
-}
-
 fn sweep_for(s: &SweepScenario) -> CrashSweep {
-    let config = ClientConfig::new(mixed_tasks(), s.sockets).unwrap();
+    let config = ClientConfig::new(mixed_tasks(1, 9), s.sockets).unwrap();
     let sweep = CrashSweep::new(config, s.msgs.clone(), s.depth).with_recovery_budget(s.budget);
     if s.amc {
         sweep.with_mode_policy(ModePolicy::Amc {
