@@ -98,8 +98,8 @@ pub fn exp_verify_bench(smoke: bool) -> String {
     let _ = writeln!(out, "pool threads: {threads} (available parallelism)");
     let _ = writeln!(
         out,
-        "{:<7} {:<16} {:>9} {:>11} {:>9} {:>12} {:>12} {:>8}",
-        "depth", "mode", "paths", "steps", "wall s", "steps/s", "pruned", "speedup"
+        "{:<7} {:<16} {:>9} {:>11} {:>9} {:>12} {:>12} {:>8} {:>8}",
+        "depth", "mode", "paths", "steps", "wall s", "steps/s", "pruned", "lookups", "speedup"
     );
 
     let mut deepest_speedup = 0.0f64;
@@ -128,7 +128,7 @@ pub fn exp_verify_bench(smoke: bool) -> String {
             let speedup = base_secs / r.secs.max(1e-9);
             let _ = writeln!(
                 out,
-                "{:<7} {:<16} {:>9} {:>11} {:>9.3} {:>12.0} {:>12} {:>7.2}x",
+                "{:<7} {:<16} {:>9} {:>11} {:>9.3} {:>12.0} {:>12} {:>8} {:>7.2}x",
                 depth,
                 r.mode,
                 r.outcome.paths,
@@ -136,6 +136,7 @@ pub fn exp_verify_bench(smoke: bool) -> String {
                 r.secs,
                 r.stats.explored_steps as f64 / r.secs.max(1e-9),
                 r.stats.pruned_steps,
+                r.stats.memo_lookups,
                 speedup
             );
             if !rows.is_empty() {
@@ -148,7 +149,8 @@ pub fn exp_verify_bench(smoke: bool) -> String {
                     "\"paths\": {}, \"steps\": {}, \"violations\": 0, \"max_trace_len\": {}, ",
                     "\"wall_secs\": {:.6}, \"paths_per_sec\": {:.1}, \"steps_per_sec\": {:.1}, ",
                     "\"speedup_vs_sequential\": {:.3}, \"explored_steps\": {}, ",
-                    "\"pruned_steps\": {}, \"pruned_paths\": {}, \"memo_hits\": {}}}"
+                    "\"pruned_steps\": {}, \"pruned_paths\": {}, \"memo_hits\": {}, ",
+                    "\"memo_lookups\": {}}}"
                 ),
                 depth,
                 r.mode,
@@ -165,6 +167,7 @@ pub fn exp_verify_bench(smoke: bool) -> String {
                 r.stats.pruned_steps,
                 r.stats.pruned_paths,
                 r.stats.memo_hits,
+                r.stats.memo_lookups,
             );
             if depth == *depths.last().expect("non-empty depths") && r.mode == "parallel+dedup" {
                 deepest_speedup = speedup;
