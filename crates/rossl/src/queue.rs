@@ -112,7 +112,7 @@ impl NpfpQueue {
             return;
         };
         // Up to `DIGEST_INLINE` entries sort in a stack array: the model
-        // checker digests a queue at every node it fingerprints.
+        // checker digests a queue at every branch point it fingerprints.
         let mut inline = [first; DIGEST_INLINE];
         let mut spilled = Vec::new();
         let entries = if self.heap.len() <= DIGEST_INLINE {
