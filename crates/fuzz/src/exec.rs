@@ -529,19 +529,14 @@ fn raw_drive(
                     format!("corruption reported on clean shutdown: {c}"),
                 );
             }
-            let replayed: Vec<Marker> = rec
-                .committed
-                .iter()
-                .chain(rec.uncommitted.iter())
-                .map(|e| e.marker.clone())
-                .collect();
-            if replayed != trace {
+            let replayed = rec.committed.iter().chain(&rec.uncommitted);
+            if !replayed.map(|e| &e.marker).eq(&trace) {
                 finding(
                     &mut out.findings,
                     "journal",
                     format!(
                         "round-trip mismatch: journal replays {} marker(s), trace has {}",
-                        replayed.len(),
+                        rec.committed.len() + rec.uncommitted.len(),
                         trace.len()
                     ),
                 );
@@ -889,7 +884,12 @@ fn telemetry_recount(
     findings: &mut Vec<Finding>,
 ) {
     let snap = registry.snapshot();
-    let count = |k: MarkerKind| markers.iter().filter(|m| m.kind() == k).count() as u64;
+    // One count per `MarkerKind`, taken in one pass.
+    let mut kinds = [0u64; 9];
+    for m in markers {
+        kinds[m.kind() as usize] += 1;
+    }
+    let count = |k: MarkerKind| kinds[k as usize];
     let event = |f: fn(&DegradedEvent) -> bool| events.iter().filter(|e| f(e)).count() as u64;
     let expected = [
         ("sched.steps", markers.len() as u64),

@@ -64,7 +64,7 @@ mod shrink;
 mod teeth;
 
 pub use corpus::Corpus;
-pub use coverage::{channel, CoverageMap, CoverageSample};
+pub use coverage::{channel, Bigrams, BucketRows, CoverageMap, CoverageSample, DigestSlots, DIGEST_SLOTS};
 pub use exec::{execute, Finding, RunOutcome};
 pub use fuzzer::{run_campaign, CampaignFinding, FuzzConfig, FuzzReport};
 pub use input::{

@@ -16,8 +16,9 @@
 //! The automaton also runs one marker at a time as a [`ProtocolCursor`]:
 //! each accepted marker hands back the basic action it closes, with its
 //! job borrowed from the trace. [`ProtocolAutomaton::accept_from`] is a
-//! loop over the cursor, so the action-assembly rules exist once, and so
-//! is [`ProtocolAutomaton::check`], which keeps only the verdict.
+//! loop over the cursor, so the action-assembly rules exist once.
+//! [`ProtocolAutomaton::check`], which keeps only the verdict, is a loop
+//! over [`ProtocolAutomaton::step`] alone and assembles no actions.
 
 use std::fmt;
 
@@ -356,9 +357,16 @@ impl ProtocolAutomaton {
     ///
     /// Returns the first [`ProtocolError`], the one `accept` returns.
     pub fn check(&self, trace: &[Marker]) -> Result<(), ProtocolError> {
-        let mut cursor = self.cursor();
+        let mut state = ProtocolState::INITIAL;
         for (index, marker) in trace.iter().enumerate() {
-            cursor.push(index, marker)?;
+            state = self
+                .step(state, marker)
+                .map_err(|violation| ProtocolError {
+                    index,
+                    state,
+                    marker: marker.clone(),
+                    violation,
+                })?;
         }
         Ok(())
     }
