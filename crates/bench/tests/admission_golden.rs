@@ -6,6 +6,11 @@
 //!   utilization 0.3 to 1.2 in steps of 0.1 (the top points fail with
 //!   `NoConvergence`), each arrival family, plain and mixed-criticality,
 //!   1 and 2 sockets, 13 seeds each;
+//! * on the first 3 seeds of each of those cells (360 sets, 3 to 5
+//!   tasks): the AMC analysis, both schedulability tests with deadlines
+//!   equal to the periods, the static-HI, tight and baseline analyses,
+//!   and the busy window of every task; and `breakdown_scale` on seed 0
+//!   of each cell;
 //! * one `AdmissionController` driven through 3,200 seeded ops drawn the
 //!   way the admission-churn benchmark draws them: 50% probes, 30% adds,
 //!   15% removes and 5% updates, a forced remove at 8 admitted tasks,
@@ -20,10 +25,15 @@
 
 use std::fmt::{self, Write as _};
 
-use prosa::{analyse, AnalysisParams};
+use prosa::{
+    analyse, analyse_amc, analyse_baseline, analyse_static_hi, analyse_tight, breakdown_scale,
+    busy_window_length, check_amc_schedulability, check_schedulability, max_release_jitter,
+    AnalysisParams, BlackoutBound, ReleaseCurve, RosslSupply,
+};
 use rossl_model::{Duration, WcetTable};
 use rossl_workloads::{
     generate, AdmissionController, ArrivalFamily, Delta, GeneratorConfig, SplitRng, TaskRequest,
+    WorkloadSpec,
 };
 
 /// 64-bit FNV-1a, fed through `fmt::Write`.
@@ -51,6 +61,10 @@ const FAMILIES: [ArrivalFamily; 3] = [
     ArrivalFamily::Bursty,
 ];
 const SEEDS_PER_CELL: u64 = 13;
+/// Seeds per cell for the rows beyond `analyse`.
+const OTHER_SEEDS_PER_CELL: u64 = 3;
+/// The largest WCET scale `breakdown_scale` searches, in per-mille.
+const MAX_PERMILLE: u64 = 2_000;
 /// At this many admitted tasks the next op is a forced `Remove`.
 const MAX_ADMITTED: usize = 8;
 const OPS: usize = 3_200;
@@ -67,26 +81,112 @@ fn config(n_tasks: usize, u: f64, family: ArrivalFamily, mixed: bool) -> Generat
     }
 }
 
+/// The generated set of one cell and seed, with its analysis inputs.
+fn cell_set(
+    u10: u64,
+    sockets: usize,
+    f: usize,
+    mixed: bool,
+    seed: u64,
+) -> (WorkloadSpec, AnalysisParams) {
+    let cfg = config(
+        3 + (seed % 3) as usize,
+        u10 as f64 / 10.0,
+        FAMILIES[f],
+        mixed,
+    );
+    let key = (u10 << 16) ^ ((f as u64) << 8) ^ (u64::from(mixed) << 4) ^ seed;
+    let spec = generate(&cfg, &mut SplitRng::new(key));
+    let params = AnalysisParams::new(spec.task_set(), WcetTable::example(), sockets)
+        .expect("example table and a nonzero socket count are valid");
+    (spec, params)
+}
+
 /// One row per (utilization, socket count): 78 sets each.
 fn analysis_digests(table: &mut Vec<(String, u64)>) {
     for u10 in 3..=12u64 {
         for sockets in 1..=2 {
             let mut h = Fnv1a::new();
-            for (f, &family) in FAMILIES.iter().enumerate() {
+            for f in 0..FAMILIES.len() {
                 for mixed in [false, true] {
                     for seed in 0..SEEDS_PER_CELL {
-                        let cfg = config(3 + (seed % 3) as usize, u10 as f64 / 10.0, family, mixed);
-                        let key = (u10 << 16) ^ ((f as u64) << 8) ^ (u64::from(mixed) << 4) ^ seed;
-                        let spec = generate(&cfg, &mut SplitRng::new(key));
-                        let params =
-                            AnalysisParams::new(spec.task_set(), WcetTable::example(), sockets)
-                                .expect("example table and a nonzero socket count are valid");
+                        let (_, params) = cell_set(u10, sockets, f, mixed, seed);
                         let _ = writeln!(h, "{:?}", analyse(&params, HORIZON));
                     }
                 }
             }
             table.push((format!("analyse/u{u10}/{sockets}s"), h.0));
         }
+    }
+}
+
+/// The analyses besides `analyse`, over the same cells: one row per
+/// analysis, 360 sets each (120 for `breakdown_scale`).
+fn other_analysis_digests(table: &mut Vec<(String, u64)>) {
+    const ROWS: [&str; 8] = [
+        "analyse_amc",
+        "check_amc_schedulability",
+        "check_schedulability",
+        "analyse_static_hi",
+        "analyse_tight",
+        "analyse_baseline",
+        "busy_window_length",
+        "breakdown_scale",
+    ];
+    let mut h: [Fnv1a; 8] = std::array::from_fn(|_| Fnv1a::new());
+    for u10 in 3..=12u64 {
+        for sockets in 1..=2 {
+            for f in 0..FAMILIES.len() {
+                for mixed in [false, true] {
+                    for seed in 0..OTHER_SEEDS_PER_CELL {
+                        let (spec, params) = cell_set(u10, sockets, f, mixed, seed);
+                        let deadlines: Vec<Duration> =
+                            spec.tasks.iter().map(|t| Duration(t.period)).collect();
+                        let _ = writeln!(h[0], "{:?}", analyse_amc(&params, HORIZON));
+                        let _ = writeln!(
+                            h[1],
+                            "{:?}",
+                            check_amc_schedulability(&params, &deadlines, HORIZON)
+                        );
+                        let _ = writeln!(
+                            h[2],
+                            "{:?}",
+                            check_schedulability(&params, &deadlines, HORIZON)
+                        );
+                        let _ = writeln!(h[3], "{:?}", analyse_static_hi(&params, HORIZON));
+                        let _ = writeln!(h[4], "{:?}", analyse_tight(&params, HORIZON));
+                        let _ = writeln!(h[5], "{:?}", analyse_baseline(&params, HORIZON));
+                        let tasks = params.tasks();
+                        let jitter = max_release_jitter(params.wcet(), sockets);
+                        let curves: Vec<ReleaseCurve> = tasks
+                            .iter()
+                            .map(|t| ReleaseCurve::new(t.arrival_curve().clone(), jitter))
+                            .collect();
+                        let supply = RosslSupply::new(
+                            BlackoutBound::for_config(tasks, params.wcet(), sockets),
+                            HORIZON,
+                        );
+                        for t in tasks {
+                            let _ = writeln!(
+                                h[6],
+                                "{:?}",
+                                busy_window_length(tasks, &curves, &supply, t.id(), HORIZON)
+                            );
+                        }
+                        if seed == 0 {
+                            let _ = writeln!(
+                                h[7],
+                                "{:?}",
+                                breakdown_scale(&params, &deadlines, HORIZON, MAX_PERMILLE)
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    for (row, h) in ROWS.iter().zip(h) {
+        table.push(((*row).to_string(), h.0));
     }
 }
 
@@ -189,6 +289,7 @@ fn controller_digests(table: &mut Vec<(String, u64)>) {
 fn digests() -> Vec<(String, u64)> {
     let mut table = Vec::new();
     analysis_digests(&mut table);
+    other_analysis_digests(&mut table);
     controller_digests(&mut table);
     table
 }
@@ -214,6 +315,14 @@ const GOLDEN: &[(&str, u64)] = &[
     ("analyse/u11/2s", 0x174db1124e6a7189),
     ("analyse/u12/1s", 0x04fbc69dfb9e94b3),
     ("analyse/u12/2s", 0x8d7b4e8305081a00),
+    ("analyse_amc", 0xd2aa5049484e98bd),
+    ("check_amc_schedulability", 0x2a846ef5497fac40),
+    ("check_schedulability", 0x43387a9e6c35d94a),
+    ("analyse_static_hi", 0xdea553856120c857),
+    ("analyse_tight", 0x3f52b5edb13dba86),
+    ("analyse_baseline", 0xc5cd1595651a511b),
+    ("busy_window_length", 0xef9b9ef2da0d2cdd),
+    ("breakdown_scale", 0xf0386a73aaaa685a),
     ("controller/ops400", 0x37985f15f8cbafab),
     ("controller/ops800", 0x8114188e5b093680),
     ("controller/ops1200", 0x11bcc30b6806e919),
