@@ -58,6 +58,7 @@ proptest! {
     /// of the current set — and an immediate repeat (the admission
     /// probe-then-commit pattern) replays the identical verdict from the
     /// set memo.
+    #[test]
     fn delta_sequences_match_scratch_analysis(
         initial in proptest::collection::vec((TASK, WCET, PERIOD), 1..4),
         deltas in proptest::collection::vec(

@@ -30,6 +30,7 @@ proptest! {
 
     /// UUniFast shares are individually valid (non-negative, at most the
     /// total) and sum to the requested utilization within one ulp.
+    #[test]
     fn uunifast_sums_to_the_target(
         n in 1usize..24,
         // Totals across the whole admission sweep plus pathological
@@ -54,6 +55,7 @@ proptest! {
 
     /// Weibull samples are non-negative and finite; clamped samples stay
     /// inside the requested interval.
+    #[test]
     fn weibull_samples_respect_their_support(
         shape_centi in 20u64..400,
         scale_centi in 1u64..500,
@@ -79,6 +81,7 @@ proptest! {
     /// (the `task_set()` constructor enforces them), periods stay in the
     /// configured range, and mixed-criticality sets keep the Vestal
     /// ordering C_LO ≤ C_HI on every task.
+    #[test]
     fn generated_sets_are_valid_and_vestal_ordered(
         n_tasks in 1usize..12,
         util_millis in 50u64..1_200,
@@ -131,6 +134,7 @@ proptest! {
     /// the same seed reproduces the task set byte for byte, and the two
     /// runs' sets fingerprint-compare equal through `Debug` formatting
     /// (which covers every field).
+    #[test]
     fn same_seed_means_byte_identical_sets(
         n_tasks in 1usize..12,
         util_millis in 50u64..1_200,
