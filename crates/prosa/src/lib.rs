@@ -20,7 +20,10 @@
 //!   non-preemptive fixed-priority scheduling on restricted supply,
 //!   parametric in the supply model. With [`IdealSupply`] and zero jitter
 //!   it degenerates to the classical overhead-oblivious NPFP RTA — the
-//!   baseline the experiments compare against.
+//!   baseline the experiments compare against. It is the LO-mode
+//!   instance of the crate's one recurrence, which is also parametric in
+//!   the criticality mode: [`analyse_amc`]'s three per-mode bounds are
+//!   its LO- and HI-mode instances on the same supply.
 //! * [`analyse`] — the end-to-end analysis of a Rössl configuration:
 //!   per-task bounds `R_i` (w.r.t. the release sequence) and `R_i + J_i`
 //!   (w.r.t. the arrival sequence, Thm. 4.2).
