@@ -1,11 +1,12 @@
 //! E11–E12: ablation studies and schedulability curves.
 //!
-//! * [`exp_ablation`] (E11) — removes design ingredients one at a time and
-//!   shows what breaks: without the carry-in/straddler terms the blackout
-//!   bound is violated by real schedules; without the jitter offset the
-//!   margin between bound and observation collapses (quantified as the
-//!   jitter's share of the final bound, the paper's "a few microseconds"
-//!   argument in §2.4).
+//! * [`exp_ablation`] (E11) — three ablations of the analysis
+//!   ingredients: real multi-socket runs violate the paper's per-round
+//!   `PollingOvh`/`ReadOvh` bounds, so the two-round closure is
+//!   load-bearing; the jitter offset stays a small share of the final
+//!   bound `R + J` across socket counts (the paper's "a few
+//!   microseconds" argument in §2.4); and `δ − BlackoutBound(δ)` dips
+//!   while the SBF, its maximum over prefixes, stays monotone (§4.4).
 //! * [`exp_schedulability`] (E12) — the classic RTS evaluation figure:
 //!   acceptance ratio vs. utilization for the overhead-aware analysis vs
 //!   the overhead-oblivious baseline, over randomly generated task sets.

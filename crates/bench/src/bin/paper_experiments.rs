@@ -23,7 +23,7 @@ const INDEX: &[(&str, &str, &str)] = &[
     ("E8", "baseline", "overhead-oblivious RTA is unsound; RefinedProsa is sound (§1.1)"),
     ("E9", "loc", "code inventory vs the paper's proof-effort table (§5)"),
     ("E10", "curves", "arrival vs release curves (§4.3)"),
-    ("E11", "ablation", "ablations: straddler terms, jitter share, SBF monotonization"),
+    ("E11", "ablation", "ablations: per-round overhead bounds, jitter share, SBF monotonization"),
     ("E12", "schedcurves", "acceptance ratio vs utilization"),
     ("E13", "sensitivity", "breakdown WCET scaling via bisection"),
     ("E14", "tight", "tightened per-task analysis: dominance and soundness"),
@@ -119,7 +119,7 @@ fn main() {
     run("curves", "arrival vs release curves (§4.3)", &exps::exp_curves);
     run(
         "ablation",
-        "ablations: straddler terms, jitter share, SBF monotonization (E11)",
+        "ablations: per-round overhead bounds, jitter share, SBF monotonization (E11)",
         &exps::exp_ablation,
     );
     run("schedcurves", "acceptance ratio vs utilization (E12)", &|| {
