@@ -237,6 +237,47 @@ mod tests {
     }
 
     #[test]
+    fn inverse_matches_a_linear_scan() {
+        let s = supply();
+        let cap = Duration(2_000);
+        for target in (0..1_500u64).step_by(13) {
+            let target = Duration(target);
+            let scan = (0..=cap.ticks())
+                .map(Duration)
+                .find(|&d| s.sbf(d) >= target);
+            assert_eq!(s.inverse(target, cap), scan, "supply {target}");
+        }
+    }
+
+    #[test]
+    fn default_inverse_agrees_with_the_ideal_override() {
+        // The identity supply without IdealSupply's closed-form inverse:
+        // the trait's binary search must find the same windows.
+        struct Searched;
+        impl SupplyBound for Searched {
+            fn sbf(&self, delta: Duration) -> Duration {
+                delta
+            }
+        }
+        let cap = Duration(100);
+        for target in 0..150u64 {
+            assert_eq!(
+                Searched.inverse(Duration(target), cap),
+                IdealSupply.inverse(Duration(target), cap),
+                "supply {target}"
+            );
+        }
+    }
+
+    #[test]
+    fn display_reports_the_horizon() {
+        let s = supply();
+        let shown = s.to_string();
+        assert!(shown.starts_with("RosslSupply("), "{shown}");
+        assert!(shown.ends_with("intervals up to 5000Δ)"), "{shown}");
+    }
+
+    #[test]
     fn ideal_supply_is_identity() {
         assert_eq!(IdealSupply.sbf(Duration(42)), Duration(42));
         assert_eq!(
